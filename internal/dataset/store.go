@@ -155,6 +155,9 @@ func (s *Store) Index(id wmap.MapID, ext string) ([]Entry, error) {
 			if os.IsNotExist(err) && path == base {
 				return filepath.SkipAll
 			}
+			if os.IsNotExist(err) {
+				return nil // a concurrent writer renamed its temp file away mid-walk
+			}
 			return err
 		}
 		if info.IsDir() || !strings.HasSuffix(path, "."+ext) {

@@ -11,29 +11,32 @@ import (
 	"ovhweather/internal/wmap"
 )
 
-// The grid engine: one whole-map load query answered in a single ordered
-// columnar pass, instead of the N independent scans a dashboard would
-// otherwise issue per LinkKey. The rendered weather map is the paper's
-// artifact — every link of a map colored at once — so the full-map range
-// query is the hot path.
+// The grid engine: the one load-query engine. A whole-map load query is
+// answered in a single ordered columnar pass instead of N independent
+// per-link scans, and a stepped /links/{id}/load is the same scan over a
+// grid of one link. The rendered weather map is the paper's artifact —
+// every link of a map colored at once — and one link's history is the
+// same question asked about one column.
 //
-// The scan has two legs, mirroring the per-link planner exactly:
+// The scan has two legs:
 //
-//   - Rollup leg: every link is planned through planWithBlocks (the same
-//     code the per-link endpoint runs), links land on tiers, and each tier's
-//     needed rollup blocks are decoded ONCE with every column; each decoded
-//     block fans its buckets into all the planned links it carries.
+//   - Rollup leg: every link is planned through planWithBlocks, links land
+//     on tiers, and each tier's needed rollup blocks are decoded ONCE; each
+//     decoded block fans its buckets into all the planned links it carries.
 //   - Raw leg: the raw blocks any link still needs (whole-range for links
 //     the planner declined, the unrolled tail past each plan's cut for the
-//     rest) are decoded ONCE with every column through the read-ahead
-//     pipeline, and each block's points fan into the per-link accumulators.
+//     rest) are decoded ONCE through the read-ahead pipeline, and each
+//     block's points fan into the per-link accumulators.
 //
-// Because each link's accumulator receives exactly the (block, bucket,
-// point) set the per-link path would fold, and the accumulation arithmetic
-// is the shared loadWindow code, a grid cell is byte-identical to the
-// per-link response once encoded — the property TestGridMatchesPerLink
-// pins. Memory is bounded by maxGridCells windows across all accumulators;
-// larger asks fail fast with a coarser-step hint before any decode.
+// A scan of many links decodes every column of a block (allColumns); a
+// scan of exactly one link decodes only that link's column pair, under the
+// same cache key the step-less raw stream uses. Each accumulator folds the
+// exact (bucket, point) set a raw stats.TimeSeries.Resample would see,
+// with integer sums, so the encoded series is byte-identical to the raw
+// resample — the property TestGridMatchesPerLink pins against a slow
+// reference oracle. Memory is bounded by maxGridCells windows across all
+// accumulators; larger asks fail fast with a coarser-step hint before any
+// decode.
 
 // maxGridCells caps the total resample windows a grid query may allocate
 // across every link accumulator (~32 B each). A month of 1h windows over a
@@ -61,8 +64,8 @@ type gridLink struct {
 	plan *rollupPlan // nil: the planner declined, the raw leg serves it all
 	lw   loadWindows // lw.wins nil when the link has no point in range
 
-	ids, groups []int // link-bearing raw blocks over the range, chronological
-	end         int64 // newest raw second the link can contribute (≤ toU)
+	ids []int // link-bearing raw blocks over the range, chronological
+	end int64 // newest raw second the link can contribute (≤ toU)
 }
 
 // gridResult is an immutable finished grid scan, shared by singleflighted
@@ -78,7 +81,8 @@ type gridResult struct {
 // every link of the map, in first-seen topology order; explicit keys keep
 // their order and must all exist on the map (ErrUnknownLink otherwise).
 // noRollups forces the raw leg for every link — the corrupt-rollup
-// degradation path, and how the equivalence tests cover raw serving.
+// degradation path. The scan counts nothing: each endpoint records it in
+// its own stats group.
 func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, noRollups bool) (*gridResult, error) {
 	if step <= 0 || step%time.Second != 0 {
 		return nil, fmt.Errorf("tsdb: grid step %s must be a positive whole number of seconds", step)
@@ -119,18 +123,16 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 	}
 
 	res := &gridResult{id: id, links: make([]gridLink, len(keys))}
-	usePlans := !noRollups && !r.rollupOff.Load()
 
-	// Plan every link through the per-link planner core, then bound the
-	// total accumulator size before allocating anything.
+	// Plan every link, then bound the total accumulator size before
+	// allocating anything.
 	var cells int64
 	for li := range keys {
 		gl := &res.links[li]
 		gl.key = keys[li]
 		for _, bi := range blocks {
-			if ci, ok := topoIdx[st.blocks[bi].topoIndex][gl.key]; ok {
+			if _, ok := topoIdx[st.blocks[bi].topoIndex][gl.key]; ok {
 				gl.ids = append(gl.ids, bi)
-				gl.groups = append(gl.groups, ci)
 			}
 		}
 		if len(gl.ids) == 0 {
@@ -140,14 +142,12 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		if gl.end > toU {
 			gl.end = toU
 		}
-		if usePlans {
-			lookup := func(ti int) int {
-				if ci, ok := topoIdx[ti][gl.key]; ok {
-					return ci
-				}
-				return -1
+		if !noRollups {
+			has := func(ti int) bool {
+				_, ok := topoIdx[ti][gl.key]
+				return ok
 			}
-			gl.plan = planWithBlocks(st, id, lookup, gl.ids, gl.groups, fromU, toU, s)
+			gl.plan = planWithBlocks(st, id, has, gl.ids, fromU, toU, s)
 		}
 		if gl.plan != nil {
 			cells += gl.plan.nWins
@@ -166,7 +166,7 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 			Hint: gridStepHint(st, id, cells, s)}
 	}
 
-	if err := r.gridRollupLeg(ctx, st, res, s); err != nil {
+	if err := r.gridRollupLeg(ctx, st, res, topoIdx, s); err != nil {
 		return nil, err
 	}
 	if err := r.gridRawLeg(ctx, st, res, blocks, topoIdx, fromU, toU, s); err != nil {
@@ -179,26 +179,34 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 			}
 		}
 	}
-	r.countGrid(res)
 	return res, nil
 }
 
+// group is the column group the scan decodes from a block of topology ti:
+// a one-link scan reads just that link's pair — the cache entry the raw
+// stream and earlier one-link scans share — a wider one every column once.
+func (res *gridResult) group(topoIdx []map[LinkKey]int, ti int) int {
+	if len(res.links) != 1 {
+		return allColumns
+	}
+	return topoIdx[ti][res.links[0].key]
+}
+
 // gridRollupLeg serves every planned link's bulk [t0, cut) from its tier:
-// the union of rollup blocks any link on a tier needs is decoded once with
-// all columns, and each decoded block fans its buckets into every planned
-// link it carries. Inclusion per link repeats planWithBlocks' rids filter
-// exactly, so each accumulator folds the same (block, bucket) set the
-// per-link path would.
+// the union of rollup blocks any link on a tier needs is decoded once, and
+// each decoded block fans its buckets into every planned link it carries.
+// A link takes a block when its topology carries the link and its buckets
+// overlap [t0, cut) — the blocks planWithBlocks proved cover the bulk.
 //
 //wm:hotpath
-func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridResult, s int64) error {
+func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridResult, topoIdx []map[LinkKey]int, s int64) error {
 	byRes := make(map[int64][]*gridLink)
 	for li := range res.links {
 		gl := &res.links[li]
 		if gl.plan == nil {
 			continue
 		}
-		gl.lw = loadWindows{t0: gl.plan.t0, step: s, res: gl.plan.res}
+		gl.lw = loadWindows{t0: gl.plan.t0, step: s}
 		gl.lw.wins = make([]loadWindow, gl.plan.nWins)
 		for k := range gl.lw.wins {
 			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
@@ -208,7 +216,6 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 	if len(byRes) == 0 {
 		return nil
 	}
-	_, topoIdx := st.topoKeyIndexes()
 	resolutions := make([]int64, 0, len(byRes))
 	for tierRes := range byRes {
 		resolutions = append(resolutions, tierRes)
@@ -244,7 +251,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		}
 		rctx, cancel := context.WithCancel(ctx)
 		out := runReadAhead(rctx, len(rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
-			return r.rollup(st, rids[i], allColumns)
+			return r.rollup(st, rids[i], res.group(topoIdx, st.rollups[rids[i]].topoIndex))
 		})
 		err := func() error {
 			defer cancel()
@@ -276,8 +283,9 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 }
 
 // foldRollupWindows folds one link's buckets of a decoded rollup block into
-// its window accumulator — the same arithmetic as linkLoadWindows' bulk
-// loop (fragments of one bucket merge by summing and widening).
+// its window accumulator. Fragments of one bucket (topology splits) merge
+// by summing counts and sums and widening extremes — together they are the
+// full bucket.
 //
 //wm:hotpath
 func foldRollupWindows(ru *decodedRollup, ci int, lw *loadWindows, cut int64) error {
@@ -353,7 +361,9 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
+	out := r.startReadAhead(ctx, st, ids, func(i int) int {
+		return res.group(topoIdx, st.blocks[ids[i]].topoIndex)
+	}, defaultReadAheadWorkers())
 	i := 0
 	for rv := range out {
 		if rv.err != nil {
@@ -389,9 +399,9 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 	return ctx.Err()
 }
 
-// accumulateRaw folds trimmed raw points into the link's windows — the same
-// per-point arithmetic as linkLoadWindows' tail loop. A planner-declined
-// link allocates its windows on the first sample, anchoring t0 there.
+// accumulateRaw folds trimmed raw points into the link's windows. A
+// planner-declined link allocates its windows on the first sample,
+// anchoring t0 there — exactly Resample's anchor.
 //
 //wm:hotpath
 func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int64) {
@@ -527,7 +537,8 @@ type gridCounters struct {
 // GridStats is the /api/v1/stats "grid" group and the tsdb_grid expvar: a
 // point-in-time snapshot of the grid query counters.
 type GridStats struct {
-	// Queries counts completed grid scans (deduplicated waiters excluded).
+	// Queries counts completed /api/v1/grid scans (deduplicated waiters
+	// excluded); stepped per-link queries count in PlannerStats.
 	Queries int64 `json:"queries"`
 	// LinksPlanned / LinksRaw count per-link accumulators by serving path.
 	LinksPlanned int64 `json:"links_planned"`
@@ -544,7 +555,7 @@ type GridStats struct {
 	ColumnScans int64 `json:"column_scans"`
 }
 
-// countGrid records one finished scan.
+// countGrid records one finished /api/v1/grid scan.
 func (r *Reader) countGrid(res *gridResult) {
 	var planned, raw int64
 	for li := range res.links {

@@ -14,8 +14,9 @@ import (
 )
 
 // Benchmarks for the grid engine: the full-map month query served by the
-// single-pass scan vs the per-link request loop it replaces, hot (decoded
-// blocks cached) and cold (fresh cache per query). Run with:
+// single-pass scan vs the per-link request loop it replaces, and one link's
+// month at step=1h and 15m, each hot (decoded blocks cached) and cold
+// (fresh cache per query). Run with:
 //
 //	go test -run xxx -bench BenchmarkGrid -benchmem ./internal/tsdb/
 
@@ -94,6 +95,7 @@ func BenchmarkGrid(b *testing.B) {
 	// The per-link request loop this replaces, over the same window — and
 	// the equal-output assertion: every grid series must match the
 	// per-link bytes.
+	ids := make([]string, len(grid.Links))
 	perURLs := make([]string, len(grid.Links))
 	var rows float64
 	for i, row := range grid.Links {
@@ -101,6 +103,7 @@ func BenchmarkGrid(b *testing.B) {
 		if err := json.Unmarshal(row["id"], &id); err != nil {
 			b.Fatal(err)
 		}
+		ids[i] = id
 		perURLs[i] = "/api/v1/links/" + id + "/load?step=1h"
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, perURLs[i], nil))
@@ -167,6 +170,28 @@ func BenchmarkGrid(b *testing.B) {
 		}
 		b.ReportMetric(rows, "rows/op")
 	})
+
+	// One link's month, the dashboard's drill-down: a stepped per-link
+	// query is a grid of one link that decodes only that link's columns.
+	// 1h rides the rollup tier, 15m (no tier divides it) the raw leg.
+	for _, step := range []string{"1h", "15m"} {
+		u := "/api/v1/links/" + ids[0] + "/load?step=" + step
+		b.Run("link-"+step+"-hot", func(b *testing.B) {
+			serve(u) // warm the block cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(u)
+			}
+		})
+		b.Run("link-"+step+"-cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.SetBlockCache(NewBlockCache(DefaultBlockCacheBytes))
+				serve(u)
+			}
+		})
+	}
 }
 
 // discardResponseWriter records the status code and drops the body.

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,18 +9,21 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
 
 // randomGridArchive builds an archive of n 5-minute Europe snapshots with
 // rng-driven loads; half the runs grow the topology partway through so some
-// links exist only in later blocks.
-func randomGridArchive(t *testing.T, rng *rand.Rand) (*Reader, int) {
+// links exist only in later blocks. rollups false writes the archive with
+// the rollup tiers off, as `wmparse -rollups off` does.
+func randomGridArchive(t *testing.T, rng *rand.Rand, rollups bool) (*Reader, int) {
 	t.Helper()
 	n := 60 + rng.Intn(400)
 	bp := 3 + rng.Intn(62)
@@ -39,13 +43,18 @@ func randomGridArchive(t *testing.T, rng *rand.Rand) (*Reader, int) {
 		}
 		maps = append(maps, m)
 	}
-	rd := openArchive(t, buildArchive(t, bp, maps...))
+	data := buildArchive(t, bp, maps...)
+	if !rollups {
+		data = buildRawArchive(t, bp, maps...)
+	}
+	rd := openArchive(t, data)
 	rd.SetBlockCache(NewBlockCache(1 << 20))
 	return rd, n
 }
 
-// gridBody decodes a grid response into its header and raw per-link rows.
-func gridBody(t *testing.T, h http.Handler, url string, wantCode int) (count int, rows []map[string]json.RawMessage) {
+// gridBody decodes a grid response into its header and per-link rows, each
+// row the exact bytes the server wrote.
+func gridBody(t *testing.T, h http.Handler, url string, wantCode int) (count int, rows []json.RawMessage) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
@@ -56,8 +65,8 @@ func gridBody(t *testing.T, h http.Handler, url string, wantCode int) (count int
 		return 0, nil
 	}
 	var v struct {
-		Count int                          `json:"count"`
-		Links []map[string]json.RawMessage `json:"links"`
+		Count int               `json:"count"`
+		Links []json.RawMessage `json:"links"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 		t.Fatalf("GET %s: bad JSON: %v", url, err)
@@ -65,20 +74,129 @@ func gridBody(t *testing.T, h http.Handler, url string, wantCode int) (count int
 	return v.Count, v.Links
 }
 
-// TestGridMatchesPerLink is the grid engine's core property: over random
-// archives, windows, steps, and band settings — and with rollup serving on
-// and off — every link row of /api/v1/grid must be byte-identical, series
-// by series, to the /api/v1/links/{id}/load response for the same query.
+// rowID returns a grid row's link id.
+func rowID(t testing.TB, row json.RawMessage) string {
+	t.Helper()
+	var v struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(row, &v); err != nil {
+		t.Fatalf("bad grid row %.100s: %v", row, err)
+	}
+	return v.ID
+}
+
+// oracleJSON renders v with encoding/json, HTML escaping off like the
+// server's encoders.
+func oracleJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		panic(err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// oracleLoad is the slow reference for a stepped load query on linkID:
+// the link's raw points read through LinkSeries, resampled by
+// stats.TimeSeries.Resample (ResampleAgg for bands=1), and encoded with
+// encoding/json field by field in the raw resample responses' layout.
+// query carries the endpoint's from/to/step/bands parameters. It returns
+// the whole /links/{id}/load body and the link's /api/v1/grid row.
+func oracleLoad(t testing.TB, rd *Reader, linkID, query string) (perLink, gridRow []byte) {
+	t.Helper()
+	q, err := url.ParseQuery(strings.TrimPrefix(query, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, key, ok := rd.ResolveLinkID(linkID)
+	if !ok {
+		t.Fatalf("oracle: unknown link %s", linkID)
+	}
+	from, to, _ := rd.Bounds(id)
+	for name, v := range map[string]*time.Time{"from": &from, "to": &to} {
+		if s := q.Get(name); s != "" {
+			if *v, err = time.Parse(time.RFC3339, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step, err := time.ParseDuration(q.Get("step"))
+	if err != nil || step <= 0 {
+		t.Fatalf("oracle: bad step in %q", query)
+	}
+	ab, ba, err := rd.LinkSeries(id, key, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	series := func(b []byte, name string, ts []time.Time, vs []float64) []byte {
+		b = fmt.Appendf(b, ",%s:[", oracleJSON(name))
+		for i := range ts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = fmt.Appendf(b, `{"t":%s,"v":%s}`, oracleJSON(ts[i]), oracleJSON(vs[i]))
+		}
+		return append(b, ']')
+	}
+	var tail []byte
+	if q.Get("bands") != "1" {
+		for _, d := range []struct {
+			name string
+			ts   *stats.TimeSeries
+		}{{"ab", ab.Resample(step)}, {"ba", ba.Resample(step)}} {
+			var ts []time.Time
+			var vs []float64
+			for _, p := range d.ts.Points() {
+				ts, vs = append(ts, p.T), append(vs, p.V)
+			}
+			tail = series(tail, d.name, ts, vs)
+		}
+	} else {
+		abAgg, baAgg := ab.ResampleAgg(step), ba.ResampleAgg(step)
+		for _, d := range []struct {
+			name string
+			aggs []stats.WindowAgg
+			sel  func(wa stats.WindowAgg) float64
+		}{
+			{"ab", abAgg, func(wa stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) }},
+			{"ba", baAgg, func(wa stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) }},
+			{"ab_min", abAgg, func(wa stats.WindowAgg) float64 { return wa.Min }},
+			{"ab_max", abAgg, func(wa stats.WindowAgg) float64 { return wa.Max }},
+			{"ba_min", baAgg, func(wa stats.WindowAgg) float64 { return wa.Min }},
+			{"ba_max", baAgg, func(wa stats.WindowAgg) float64 { return wa.Max }},
+		} {
+			var ts []time.Time
+			var vs []float64
+			for _, wa := range d.aggs {
+				ts, vs = append(ts, wa.T), append(vs, d.sel(wa))
+			}
+			tail = series(tail, d.name, ts, vs)
+		}
+	}
+
+	ident := fmt.Appendf(nil, `"a":%s,"b":%s,"label_a":%s,"label_b":%s,"ordinal":%d`,
+		oracleJSON(key.A), oracleJSON(key.B), oracleJSON(key.LabelA), oracleJSON(key.LabelB), key.Ordinal)
+	perLink = fmt.Appendf(nil, `{"id":%s,"map":%s,%s,"from":%s,"to":%s,"step":%s%s}`+"\n",
+		oracleJSON(linkID), oracleJSON(id), ident, oracleJSON(from), oracleJSON(to), oracleJSON(step.String()), tail)
+	gridRow = fmt.Appendf(nil, `{"id":%s,%s%s}`, oracleJSON(linkID), ident, tail)
+	return perLink, gridRow
+}
+
+// TestGridMatchesPerLink is the load engine's core property: over random
+// archives (one written without rollup tiers), windows, steps, and band
+// settings, every /api/v1/grid row and every /api/v1/links/{id}/load
+// response must be byte-identical to the slow reference oracle.
 func TestGridMatchesPerLink(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	steps := []time.Duration{7 * time.Minute, 15 * time.Minute, time.Hour, 2 * time.Hour, 24 * time.Hour}
-	series := []string{"ab", "ba"}
-	bandSeries := []string{"ab", "ba", "ab_min", "ab_max", "ba_min", "ba_max"}
 
 	for arch := 0; arch < 4; arch++ {
-		rd, n := randomGridArchive(t, rng)
+		rollups := arch != 3 // one archive exercises the rollup-less raw path
+		rd, n := randomGridArchive(t, rng, rollups)
 		h := NewAPIHandler(rd)
-		rd.SetRollupServing(arch != 3) // one archive exercises the raw-only path
 
 		windows := []string{""}
 		for w := 0; w < 2; w++ {
@@ -97,29 +215,20 @@ func TestGridMatchesPerLink(t *testing.T) {
 					if len(rows) == 0 {
 						t.Fatalf("grid%s: empty universe", q)
 					}
-					want := series
-					if bands != "" {
-						want = bandSeries
-					}
 					for _, row := range rows {
-						var linkID string
-						if err := json.Unmarshal(row["id"], &linkID); err != nil {
-							t.Fatalf("grid%s: bad row id: %v", q, err)
+						linkID := rowID(t, row)
+						wantPer, wantRow := oracleLoad(t, rd, linkID, q)
+						if !bytes.Equal(row, wantRow) {
+							t.Fatalf("grid%s link %s row diverges from the oracle:\n grid   %.200s\n oracle %.200s",
+								q, linkID, row, wantRow)
 						}
-						rec := httptest.NewRecorder()
-						h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/links/"+linkID+"/load"+q, nil))
-						if rec.Code != http.StatusOK {
-							t.Fatalf("GET /links/%s/load%s = %d (%s)", linkID, q, rec.Code, rec.Body)
+						code, per := getRaw(t, h, "/api/v1/links/"+linkID+"/load"+q)
+						if code != http.StatusOK {
+							t.Fatalf("GET /links/%s/load%s = %d (%s)", linkID, q, code, per)
 						}
-						var per map[string]json.RawMessage
-						if err := json.Unmarshal(rec.Body.Bytes(), &per); err != nil {
-							t.Fatal(err)
-						}
-						for _, s := range want {
-							if string(row[s]) != string(per[s]) {
-								t.Fatalf("grid%s link %s series %q diverges:\n grid %.120s\n link %.120s",
-									q, linkID, s, row[s], per[s])
-							}
+						if !bytes.Equal(per, wantPer) {
+							t.Fatalf("/links/%s/load%s diverges from the oracle:\n served %.300s\n oracle %.300s",
+								linkID, q, per, wantPer)
 						}
 					}
 				}
@@ -130,9 +239,7 @@ func TestGridMatchesPerLink(t *testing.T) {
 		_, all := gridBody(t, h, "/api/v1/grid?map=europe&step=1h", http.StatusOK)
 		var ids []string
 		for _, row := range all {
-			var s string
-			json.Unmarshal(row["id"], &s)
-			ids = append(ids, s)
+			ids = append(ids, rowID(t, row))
 		}
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		sub := ids[:1+rng.Intn(len(ids))]
@@ -141,21 +248,22 @@ func TestGridMatchesPerLink(t *testing.T) {
 			t.Fatalf("links= subset: count %d, want %d", count, len(sub))
 		}
 		for i, row := range rows {
-			var got string
-			json.Unmarshal(row["id"], &got)
-			if got != sub[i] {
+			if got := rowID(t, row); got != sub[i] {
 				t.Fatalf("links= subset row %d = %s, want %s (order must be preserved)", i, got, sub[i])
 			}
 		}
 
-		// The equivalence must have covered both legs: tier-served links when
-		// rollups are on, raw-only when forced off.
-		gs := rd.GridStats()
-		if arch != 3 && gs.LinksPlanned == 0 {
-			t.Errorf("archive %d: no link ever served from a rollup tier (%+v)", arch, gs)
+		// The equivalence must have covered both legs on both endpoints:
+		// tier-served links when the archive has rollups, raw always.
+		gs, ps := rd.GridStats(), rd.PlannerStats()
+		if rollups && (gs.LinksPlanned == 0 || len(ps.Tiers) == 0) {
+			t.Errorf("archive %d: no link ever served from a rollup tier (grid %+v, planner %+v)", arch, gs, ps)
 		}
-		if gs.LinksRaw == 0 {
-			t.Errorf("archive %d: no link ever served raw (%+v)", arch, gs)
+		if !rollups && (gs.LinksPlanned != 0 || len(ps.Tiers) != 0) {
+			t.Errorf("archive %d has no rollups, yet a tier served (grid %+v, planner %+v)", arch, gs, ps)
+		}
+		if gs.LinksRaw == 0 || ps.Raw == 0 {
+			t.Errorf("archive %d: no link ever served raw (grid %+v, planner %+v)", arch, gs, ps)
 		}
 	}
 }
@@ -197,11 +305,15 @@ func TestGridScanErrors(t *testing.T) {
 		t.Errorf("hint %s not aligned to the coarsest tier", tooBig.Hint)
 	}
 
-	// Same failure through HTTP: a 400 carrying the hint.
+	// Same failure through HTTP, on the grid and on a one-link grid: a 400
+	// carrying the hint.
 	h := NewAPIHandler(rd)
-	v := getJSON(t, h, "/api/v1/grid?map=europe&step=1s", http.StatusBadRequest)
-	if msg, _ := v["error"].(string); !strings.Contains(msg, "step=") {
-		t.Errorf("cap error %q does not hint at a coarser step", msg)
+	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
+	for _, u := range []string{"/api/v1/grid?map=europe&step=1s", "/api/v1/links/" + id + "/load?step=1s"} {
+		v := getJSON(t, h, u, http.StatusBadRequest)
+		if msg, _ := v["error"].(string); !strings.Contains(msg, "step=") {
+			t.Errorf("%s: cap error %q does not hint at a coarser step", u, msg)
+		}
 	}
 }
 
@@ -244,9 +356,7 @@ func TestGridHTTP(t *testing.T) {
 	}
 	// First-seen topology order: the universe matches LinkKeysOf.
 	for i, k := range LinkKeysOf(sample) {
-		var got string
-		json.Unmarshal(rows[i]["id"], &got)
-		if got != k.ID(wmap.Europe) {
+		if got := rowID(t, rows[i]); got != k.ID(wmap.Europe) {
 			t.Errorf("universe[%d] = %s, want %s", i, got, k.ID(wmap.Europe))
 		}
 	}
@@ -287,7 +397,7 @@ func (c *cancelOnWriteRecorder) Write(p []byte) (int, error) {
 
 // TestGridCancellation: a pre-cancelled request answers 499 before any scan
 // work; a cancellation after the first streamed flush stops the encode
-// without corrupting state; serveWindowLoad's post-scan guard answers 499.
+// without corrupting state; a cancelled stepped per-link query answers 499.
 func TestGridCancellation(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 1200; i++ {
@@ -323,20 +433,17 @@ func TestGridCancellation(t *testing.T) {
 		t.Errorf("streamed counter = %+v, want at least one streamed response", s)
 	}
 
-	// The per-link window path's own guard: scan done, client gone.
-	a := &api{rd: rd, maxPoints: DefaultMaxResponsePoints}
-	key := LinkKeysOf(maps[0])[0]
-	lw, err := rd.linkLoadWindows(context.Background(), wmap.Europe, key, time.Time{}, time.Time{}, time.Hour)
-	if err != nil || lw == nil {
-		t.Fatalf("linkLoadWindows = %v, %v", lw, err)
-	}
-	ctx, cancel = context.WithCancel(context.Background())
-	cancel()
-	req = httptest.NewRequest(http.MethodGet, "/x", nil).WithContext(ctx)
-	rec = httptest.NewRecorder()
-	a.serveWindowLoad(rec, req, key.ID(wmap.Europe), wmap.Europe, key, time.Time{}, time.Time{}, time.Hour, false, lw)
-	if rec.Code != statusClientClosedRequest {
-		t.Errorf("serveWindowLoad after cancel = %d, want %d", rec.Code, statusClientClosedRequest)
+	// A stepped per-link query runs the same scan and answers 499 too.
+	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
+	for _, q := range []string{"?step=1h", "?step=5m&bands=1"} {
+		ctx, cancel = context.WithCancel(context.Background())
+		cancel()
+		req = httptest.NewRequest(http.MethodGet, "/api/v1/links/"+id+"/load"+q, nil).WithContext(ctx)
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != statusClientClosedRequest {
+			t.Errorf("cancelled /links/%s/load%s = %d, want %d", id, q, rec.Code, statusClientClosedRequest)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ovhweather/internal/events"
-	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
 
@@ -28,9 +27,11 @@ import (
 //	GET /api/v1/stats                        — archive and block-cache counters
 //
 // Times are RFC3339; at defaults to the map's last snapshot, from/to to the
-// archive bounds. step resamples the series into fixed averaged windows via
-// stats.TimeSeries.Resample. Link ids come from the topology endpoint and
-// stay stable across snapshots (LinkKey.ID).
+// archive bounds. step resamples the series into fixed averaged windows
+// (stats.TimeSeries.Resample's bucketing) through the grid engine — a
+// stepped per-link query is a grid of one link; without step the raw
+// points stream straight from the archive columns. Link ids come from the
+// topology endpoint and stay stable across snapshots (LinkKey.ID).
 //
 // Every data endpoint carries an ETag derived from the archive fingerprint
 // and the resolved query, honors If-None-Match with 304, and sets
@@ -265,24 +266,6 @@ func (a *api) handleTopology(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// appendSeries appends a series as [{"t":...,"v":...},...]. A timeEncoder
-// carries the formatted date across points, which sit minutes apart.
-func appendSeries(b []byte, ts *stats.TimeSeries) []byte {
-	b = append(b, '[')
-	var enc timeEncoder
-	for i, p := range ts.Points() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"t":`...)
-		b = enc.append(b, p.T)
-		b = append(b, `,"v":`...)
-		b = appendJSONFloat(b, p.V)
-		b = append(b, '}')
-	}
-	return append(b, ']')
-}
-
 func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	linkID := r.PathValue("id")
 	id, key, ok := a.rd.ResolveLinkID(linkID)
@@ -299,16 +282,16 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var step time.Duration
+	var step time.Duration // zero: no step, the raw points
 	if s := r.URL.Query().Get("step"); s != "" {
 		var err error
-		if step, err = time.ParseDuration(s); err != nil || step < 0 {
-			writeError(w, http.StatusBadRequest, "bad step %q", s)
+		if step, err = time.ParseDuration(s); err != nil || step < 0 || step%time.Second != 0 {
+			writeBadStep(w, s)
 			return
 		}
 	}
 	bands := r.URL.Query().Get("bands") == "1"
-	if bands && step <= 0 {
+	if bands && step == 0 {
 		writeError(w, http.StatusBadRequest, "bands=1 requires a step — min/max bands are per resample window")
 		return
 	}
@@ -321,7 +304,7 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	if serveCached(w, r, etag, fromGiven && toGiven) {
 		return
 	}
-	if step <= 0 {
+	if step == 0 {
 		// Two directed points per snapshot; the index bound costs no decode.
 		if raw := 2 * a.rd.rangePointCount(id, from, to); raw > a.maxPoints {
 			hint := suggestStep(a.rd.st(), id, from, to, raw, a.maxPoints)
@@ -333,71 +316,55 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 		a.serveRawLoad(w, r, linkID, id, key, from, to, step)
 		return
 	}
+	a.serveSteppedLoad(w, r, linkID, id, key, from, to, step, bands)
+}
 
-	// The planner first: a step some rollup tier divides is served from
-	// pre-aggregated buckets, byte-identical to the raw resample. A corrupt
-	// rollup block degrades to the raw path — logged and counted, never a
-	// wrong answer. (nil, nil) means the planner declined.
-	lw, err := a.rd.linkLoadWindows(r.Context(), id, key, from, to, step)
-	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			log.Printf("tsdb: api: rollup plan for %s: %v; falling back to raw scan", linkID, err)
-			a.rd.countFallback()
-			lw = nil
-		} else {
-			a.writeLoadError(w, err)
-			return
-		}
-	}
-	if lw != nil {
-		a.rd.countPlanned(lw.res)
-		a.serveWindowLoad(w, r, linkID, id, key, from, to, step, bands, lw)
-		return
-	}
-	a.rd.countPlanned(0)
+// writeBadStep rejects a step parameter the archive cannot resample at.
+func writeBadStep(w http.ResponseWriter, s string) {
+	writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", s)
+}
 
-	if bands {
-		a.serveRawBandLoad(w, r, linkID, id, key, from, to, step)
-		return
+// serveSteppedLoad answers a resampled per-link query as a grid of one
+// link: the grid engine's scan (decoding only this link's columns) and its
+// series encoder, so the bytes match the link's /api/v1/grid row by
+// construction. The query counts in the planner stats only: the tier that
+// served the bulk, raw when no tier could, and a fallback when a corrupt
+// rollup forced a raw re-scan.
+func (a *api) serveSteppedLoad(w http.ResponseWriter, r *http.Request, linkID string, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration, bands bool) {
+	res, degraded, err := a.gridScanDegrading(r.Context(), id, []LinkKey{key}, from, to, step)
+	if degraded {
+		a.rd.countFallback()
 	}
-	ab, ba, err := a.rd.LinkSeriesContext(r.Context(), id, key, from, to)
 	if err != nil {
 		a.writeLoadError(w, err)
 		return
 	}
-	ab, ba = ab.Resample(step), ba.Resample(step)
+	gl := &res.links[0]
+	var tier int64
+	if gl.plan != nil {
+		tier = gl.plan.res
+	}
+	a.rd.countPlanned(tier)
 
 	bp := getEncBuf()
+	var memo meanMemo
 	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = append(b, `,"ab":`...)
-	b = appendSeries(b, ab)
-	b = append(b, `,"ba":`...)
-	b = appendSeries(b, ba)
+	b = appendLoadSeries(b, &gl.lw, bands, &memo)
 	b = append(b, '}', '\n')
 	writeBody(w, http.StatusOK, b)
 	*bp = b
 	putEncBuf(bp)
 }
 
-// serveWindowLoad encodes a planner result. Without bands the body is
-// byte-identical to the Resample path: same window times, same means,
-// because both sides divide the same integer sums by the same counts.
-// bands adds per-window min/max series for each direction. A client that
-// hung up between the scan and the encode gets 499 instead of a body
-// nobody will read.
-func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID string, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration, bands bool, lw *loadWindows) {
-	if r.Context().Err() != nil {
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	}
-	bp := getEncBuf()
-	var memo meanMemo
-	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
+// appendLoadSeries appends one link's resampled series fields — "ab" and
+// "ba", plus the four min/max bands when asked — for both the per-link
+// response and each /api/v1/grid row. The memo carries rendered means
+// across series and, for a grid, across every link in the response.
+func appendLoadSeries(b []byte, lw *loadWindows, bands bool, memo *meanMemo) []byte {
 	b = append(b, `,"ab":`...)
-	b = appendWindowMeans(b, lw, false, &memo)
+	b = appendWindowMeans(b, lw, false, memo)
 	b = append(b, `,"ba":`...)
-	b = appendWindowMeans(b, lw, true, &memo)
+	b = appendWindowMeans(b, lw, true, memo)
 	if bands {
 		b = append(b, `,"ab_min":`...)
 		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMin })
@@ -408,16 +375,11 @@ func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID str
 		b = append(b, `,"ba_max":`...)
 		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMax })
 	}
-	b = append(b, '}', '\n')
-	writeBody(w, http.StatusOK, b)
-	*bp = b
-	putEncBuf(bp)
+	return b
 }
 
-// appendWindowMeans appends one direction's mean series from planned
-// windows, skipping empty windows exactly as Resample does. The memo
-// carries rendered means across series — and, for a grid, across every
-// link in the response.
+// appendWindowMeans appends one direction's mean series, skipping empty
+// windows exactly as Resample does.
 func appendWindowMeans(b []byte, lw *loadWindows, ba bool, memo *meanMemo) []byte {
 	b = append(b, '[')
 	var enc timeEncoder
@@ -462,53 +424,6 @@ func appendWindowExtremes(b []byte, lw *loadWindows, sel func(w *loadWindow) uin
 		b = enc.appendUnix(b, lw.t0+int64(k)*lw.step)
 		b = append(b, `,"v":`...)
 		b = strconv.AppendInt(b, int64(sel(win)), 10)
-		b = append(b, '}')
-	}
-	return append(b, ']')
-}
-
-// serveRawBandLoad is the bands=1 raw fallback: the same windowed
-// aggregates computed by scanning raw points through stats.ResampleAgg.
-func (a *api) serveRawBandLoad(w http.ResponseWriter, r *http.Request, linkID string, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration) {
-	ab, ba, err := a.rd.LinkSeriesContext(r.Context(), id, key, from, to)
-	if err != nil {
-		a.writeLoadError(w, err)
-		return
-	}
-	abAgg, baAgg := ab.ResampleAgg(step), ba.ResampleAgg(step)
-
-	bp := getEncBuf()
-	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = append(b, `,"ab":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) })
-	b = append(b, `,"ba":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) })
-	b = append(b, `,"ab_min":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Min })
-	b = append(b, `,"ab_max":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Max })
-	b = append(b, `,"ba_min":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Min })
-	b = append(b, `,"ba_max":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Max })
-	b = append(b, '}', '\n')
-	writeBody(w, http.StatusOK, b)
-	*bp = b
-	putEncBuf(bp)
-}
-
-// appendAggSeries appends one field of an aggregate resample as a series.
-func appendAggSeries(b []byte, aggs []stats.WindowAgg, sel func(wa *stats.WindowAgg) float64) []byte {
-	b = append(b, '[')
-	var enc timeEncoder
-	for i := range aggs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"t":`...)
-		b = enc.append(b, aggs[i].T)
-		b = append(b, `,"v":`...)
-		b = appendJSONFloat(b, sel(&aggs[i]))
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -578,16 +493,21 @@ func (a *api) serveRawLoad(w http.ResponseWriter, r *http.Request, linkID string
 	*bp = b
 }
 
-// writeLoadError maps a series-read failure onto the response: cancelled
-// clients get the nginx-convention 499, unknown ids 404, the rest 500.
+// writeLoadError maps a load-query failure onto the response: cancelled
+// clients get the nginx-convention 499, unknown ids 404, an over-cap grid
+// 400 with its coarser-step hint, the rest 500.
 func (a *api) writeLoadError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		w.WriteHeader(statusClientClosedRequest)
 		return
 	}
 	code := http.StatusInternalServerError
-	if errors.Is(err, ErrUnknownLink) || errors.Is(err, ErrUnknownMap) {
+	var tooBig *GridTooLargeError
+	switch {
+	case errors.Is(err, ErrUnknownLink) || errors.Is(err, ErrUnknownMap):
 		code = http.StatusNotFound
+	case errors.As(err, &tooBig):
+		code = http.StatusBadRequest
 	}
 	writeError(w, code, "%v", err)
 }
@@ -599,6 +519,18 @@ func appendLoadMeta(b []byte, linkID string, id wmap.MapID, key LinkKey, from, t
 	b = appendJSONString(b, linkID)
 	b = append(b, `,"map":`...)
 	b = appendJSONString(b, string(id))
+	b = appendLinkKey(b, key)
+	b = append(b, `,"from":`...)
+	b = appendJSONTime(b, from)
+	b = append(b, `,"to":`...)
+	b = appendJSONTime(b, to)
+	b = append(b, `,"step":`...)
+	return appendJSONString(b, step.String())
+}
+
+// appendLinkKey appends a link's identity fields, "a" through "ordinal" —
+// the same in a per-link response and a grid row.
+func appendLinkKey(b []byte, key LinkKey) []byte {
 	b = append(b, `,"a":`...)
 	b = appendJSONString(b, key.A)
 	b = append(b, `,"b":`...)
@@ -608,13 +540,7 @@ func appendLoadMeta(b []byte, linkID string, id wmap.MapID, key LinkKey, from, t
 	b = append(b, `,"label_b":`...)
 	b = appendJSONString(b, key.LabelB)
 	b = append(b, `,"ordinal":`...)
-	b = strconv.AppendInt(b, int64(key.Ordinal), 10)
-	b = append(b, `,"from":`...)
-	b = appendJSONTime(b, from)
-	b = append(b, `,"to":`...)
-	b = appendJSONTime(b, to)
-	b = append(b, `,"step":`...)
-	return appendJSONString(b, step.String())
+	return strconv.AppendInt(b, int64(key.Ordinal), 10)
 }
 
 func (a *api) handleImbalance(w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,8 @@ import (
 // whole-map load query: every link's resampled series in one response,
 // computed by the single-pass grid engine instead of N per-link requests.
 // Each link's series is byte-identical to what /links/{id}/load would
-// return for the same window.
+// return for the same window: that endpoint runs the same scan over a grid
+// of one link.
 //
 // The response streams: per-link rows are encoded into a pooled buffer and
 // flushed once it crosses gridFlushBytes, so a full-map month never
@@ -58,7 +59,7 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	step, err := time.ParseDuration(stepStr)
 	if err != nil || step <= 0 || step%time.Second != 0 {
-		writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", stepStr)
+		writeBadStep(w, stepStr)
 		return
 	}
 	bands := q.Get("bands") == "1"
@@ -89,14 +90,16 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := a.gridShared(r.Context(), sfKey, func() (*gridResult, error) {
-		return a.gridScanDegrading(r.Context(), id, keys, from, to, step)
+		res, degraded, err := a.gridScanDegrading(r.Context(), id, keys, from, to, step)
+		if degraded {
+			a.rd.countGridFallback()
+		}
+		if err == nil {
+			a.rd.countGrid(res)
+		}
+		return res, err
 	})
 	if err != nil {
-		var tooBig *GridTooLargeError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		a.writeLoadError(w, err)
 		return
 	}
@@ -104,16 +107,17 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 }
 
 // gridScanDegrading runs the scan, degrading to raw-only serving when a
-// rollup block is corrupt — logged and counted, never a wrong answer.
-func (a *api) gridScanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration) (*gridResult, error) {
-	res, err := a.rd.GridScan(ctx, id, keys, from, to, step, false)
+// rollup block is corrupt — logged, never a wrong answer. degraded reports
+// the fallback so each endpoint counts it in its own stats group.
+func (a *api) gridScanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration) (res *gridResult, degraded bool, err error) {
+	res, err = a.rd.GridScan(ctx, id, keys, from, to, step, false)
 	var ce *CorruptError
 	if err != nil && errors.As(err, &ce) {
-		log.Printf("tsdb: api: grid scan of %s: %v; falling back to raw scan", id, err)
-		a.rd.countGridFallback()
+		log.Printf("tsdb: api: load scan of %s: %v; falling back to raw scan", id, err)
 		res, err = a.rd.GridScan(ctx, id, keys, from, to, step, true)
+		return res, true, err
 	}
-	return res, err
+	return res, false, err
 }
 
 // gridShared collapses identical in-flight grids onto one scan. A waiter
@@ -214,36 +218,13 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 	writeBody(w, http.StatusOK, b)
 }
 
-// appendGridLink encodes one link row: the same identity fields as the
-// per-link endpoint's meta, then the same series arrays — shared encoders,
-// so the bytes per series match /links/{id}/load exactly.
+// appendGridLink encodes one link row: the per-link endpoint's identity
+// fields (less map and range) and the same series encoder, so the bytes
+// per series match /links/{id}/load exactly.
 func appendGridLink(b []byte, id wmap.MapID, gl *gridLink, bands bool, memo *meanMemo) []byte {
-	k := gl.key
 	b = append(b, `{"id":`...)
-	b = appendJSONString(b, k.ID(id))
-	b = append(b, `,"a":`...)
-	b = appendJSONString(b, k.A)
-	b = append(b, `,"b":`...)
-	b = appendJSONString(b, k.B)
-	b = append(b, `,"label_a":`...)
-	b = appendJSONString(b, k.LabelA)
-	b = append(b, `,"label_b":`...)
-	b = appendJSONString(b, k.LabelB)
-	b = append(b, `,"ordinal":`...)
-	b = strconv.AppendInt(b, int64(k.Ordinal), 10)
-	b = append(b, `,"ab":`...)
-	b = appendWindowMeans(b, &gl.lw, false, memo)
-	b = append(b, `,"ba":`...)
-	b = appendWindowMeans(b, &gl.lw, true, memo)
-	if bands {
-		b = append(b, `,"ab_min":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.abMin })
-		b = append(b, `,"ab_max":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.abMax })
-		b = append(b, `,"ba_min":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.baMin })
-		b = append(b, `,"ba_max":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.baMax })
-	}
+	b = appendJSONString(b, gl.key.ID(id))
+	b = appendLinkKey(b, gl.key)
+	b = appendLoadSeries(b, &gl.lw, bands, memo)
 	return append(b, '}')
 }

@@ -131,6 +131,17 @@ func TestAPILinkLoad(t *testing.T) {
 	getJSON(t, h, "/api/v1/links/doesnotexist/load", http.StatusNotFound)
 	getJSON(t, h, "/api/v1/links/"+id+"/load?step=fast", http.StatusBadRequest)
 	getJSON(t, h, "/api/v1/links/"+id+"/load?from=noon", http.StatusBadRequest)
+	getJSON(t, h, "/api/v1/links/"+id+"/load?bands=1", http.StatusBadRequest) // bands need a step
+
+	// One step rule with the grid: a positive whole number of seconds.
+	for _, step := range []string{"-10m", "1500ms", "90.5s"} {
+		for _, ep := range []string{"/api/v1/links/" + id + "/load?", "/api/v1/grid?map=europe&"} {
+			v := getJSON(t, h, ep+"step="+step, http.StatusBadRequest)
+			if msg, _ := v["error"].(string); !strings.Contains(msg, "need a positive whole number of seconds") {
+				t.Errorf("%sstep=%s: error %q, want the step rule", ep, step, msg)
+			}
+		}
+	}
 }
 
 func TestAPIImbalance(t *testing.T) {
@@ -259,8 +270,8 @@ func TestAPILinkLoadCancelled(t *testing.T) {
 	}
 }
 
-// TestAPIStats checks the stats endpoint reports archive shape and live
-// cache counters.
+// TestAPIStats checks the stats endpoint reports archive shape, live cache
+// counters, and per-endpoint load-query counters.
 func TestAPIStats(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 8; i++ {
@@ -288,6 +299,62 @@ func TestAPIStats(t *testing.T) {
 	if cs["hits"].(float64) < 1 || cs["misses"].(float64) < 1 {
 		t.Errorf("cache stats after repeated topology = %v", cs)
 	}
+
+	// Each load request counts in exactly one stats group — a stepped
+	// per-link query in "planner" (by the tier that served it, or raw), a
+	// grid query in "grid" — though both run one engine, so wmbench's
+	// planner_rollup_share, which sums the two, counts each once. Three
+	// hours of snapshots let the 1h tier seal two buckets.
+	maps = maps[:0]
+	for i := 0; i < 36; i++ {
+		maps = append(maps, testMap(wmap.Europe, at(5*i), 10+i, 20+i, 30+i, 40+i, 50+i, 60+i))
+	}
+	h = NewAPIHandler(openArchive(t, buildArchive(t, 4, maps...)))
+	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
+
+	type counts struct {
+		planner map[string]any
+		grid    map[string]any
+	}
+	snap := func() counts {
+		v := getJSON(t, h, "/api/v1/stats", http.StatusOK)
+		return counts{v["planner"].(map[string]any), v["grid"].(map[string]any)}
+	}
+	num := func(m map[string]any, path ...string) float64 {
+		for _, p := range path[:len(path)-1] {
+			m, _ = m[p].(map[string]any)
+		}
+		f, _ := m[path[len(path)-1]].(float64)
+		return f
+	}
+	check := func(step string, c0, c1 counts, want map[string]float64) {
+		t.Helper()
+		got := map[string]float64{
+			"planner.tiers.1h":      num(c1.planner, "tiers", "1h") - num(c0.planner, "tiers", "1h"),
+			"planner.raw":           num(c1.planner, "raw") - num(c0.planner, "raw"),
+			"planner.fallbacks":     num(c1.planner, "rollup_fallbacks") - num(c0.planner, "rollup_fallbacks"),
+			"grid.queries":          num(c1.grid, "queries") - num(c0.grid, "queries"),
+			"grid.links_planned":    num(c1.grid, "links_planned") - num(c0.grid, "links_planned"),
+			"grid.links_raw":        num(c1.grid, "links_raw") - num(c0.grid, "links_raw"),
+			"grid.rollup_fallbacks": num(c1.grid, "rollup_fallbacks") - num(c0.grid, "rollup_fallbacks"),
+		}
+		for k, g := range got {
+			if g != want[k] {
+				t.Errorf("%s: %s moved by %v, want %v", step, k, g, want[k])
+			}
+		}
+	}
+
+	c0 := snap()
+	getJSON(t, h, "/api/v1/links/"+id+"/load?step=1h", http.StatusOK)
+	c1 := snap()
+	check("per-link step=1h", c0, c1, map[string]float64{"planner.tiers.1h": 1})
+	getJSON(t, h, "/api/v1/links/"+id+"/load?step=7m", http.StatusOK)
+	c2 := snap()
+	check("per-link step=7m", c1, c2, map[string]float64{"planner.raw": 1})
+	getJSON(t, h, "/api/v1/grid?map=europe&step=1h", http.StatusOK)
+	c3 := snap()
+	check("grid step=1h", c2, c3, map[string]float64{"grid.queries": 1, "grid.links_planned": 3})
 }
 
 // TestAPIConcurrentConsistency hammers every endpoint from 32 goroutines

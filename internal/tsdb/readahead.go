@@ -114,8 +114,9 @@ func runReadAhead(ctx context.Context, n, workers int, fetch func(i int) (cacheV
 	return out
 }
 
-// defaultReadAheadWorkers is the worker count CursorContext and LinkSeries
-// use: one decoder per available core.
+// defaultReadAheadWorkers is the worker count every scan uses — cursors,
+// the per-link raw stream, both grid legs and RollupTotals: one decoder per
+// available core.
 func defaultReadAheadWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }

@@ -56,15 +56,11 @@ type Reader struct {
 	refreshMu sync.Mutex
 	state     atomic.Pointer[readerState]
 
-	// planner tallies which path served each load query; rollupOff, when
-	// set via SetRollupServing(false), makes the planner decline every
-	// query so everything takes the raw path. See planner.go.
-	planner   plannerCounters
-	rollupOff atomic.Bool
-
-	// grid tallies the multi-link grid engine's serving counters; see
-	// grid.go.
-	grid gridCounters
+	// planner tallies which path (tier or raw) served each stepped
+	// per-link load query, grid the /api/v1/grid scans; the API records
+	// each request in exactly one of them. See planner.go and grid.go.
+	planner plannerCounters
+	grid    gridCounters
 }
 
 // readerState is one committed view of the archive: everything parsed from

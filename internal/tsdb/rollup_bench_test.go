@@ -24,11 +24,17 @@ import (
 // the same observable work.
 
 // buildBenchCorpus writes months of 5-minute snapshots (~8640/month) and
-// opens a cached reader over the closed archive.
-func buildBenchCorpus(b *testing.B, months int) *Reader {
+// opens a cached reader over the closed archive; rollups false writes it
+// without rollup tiers, as `wmparse -rollups off` does.
+func buildBenchCorpus(b *testing.B, months int, rollups bool) *Reader {
 	b.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
+	if !rollups {
+		if err := w.SetRollupResolutions(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	n := months * 30 * 24 * 12
 	for i := 0; i < n; i++ {
 		if err := w.Append(seqMapB(wmap.Europe, i)); err != nil {
@@ -47,13 +53,13 @@ func buildBenchCorpus(b *testing.B, months int) *Reader {
 }
 
 // BenchmarkRollupLongRange: a 6-month step=1d load query through the API
-// handler, served from the 1d tier vs the raw scan of ~52k snapshots.
+// handler, served from the 1d tier vs the raw scan of ~52k snapshots in the
+// same maps written without rollup tiers.
 func BenchmarkRollupLongRange(b *testing.B) {
-	rd := buildBenchCorpus(b, 6)
-	h := NewAPIHandler(rd)
+	rolled, raw := buildBenchCorpus(b, 6, true), buildBenchCorpus(b, 6, false)
 	url := "/api/v1/links/" + LinkKeysOf(seqMapB(wmap.Europe, 0))[0].ID(wmap.Europe) + "/load?step=24h"
 
-	serve := func() []byte {
+	serve := func(h http.Handler) []byte {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		if rec.Code != http.StatusOK {
@@ -61,29 +67,27 @@ func BenchmarkRollupLongRange(b *testing.B) {
 		}
 		return rec.Body.Bytes()
 	}
-	rd.SetRollupServing(true)
-	planned := serve()
-	rd.SetRollupServing(false)
-	if raw := serve(); !bytes.Equal(planned, raw) {
+	hRolled, hRaw := NewAPIHandler(rolled), NewAPIHandler(raw)
+	if !bytes.Equal(serve(hRolled), serve(hRaw)) {
 		b.Fatal("planned response is not byte-identical to the raw response")
 	}
-
 	for _, c := range []struct {
-		name    string
-		serving bool
-	}{{"rollup", true}, {"raw", false}} {
+		name string
+		h    http.Handler
+	}{{"rollup", hRolled}, {"raw", hRaw}} {
 		b.Run(c.name, func(b *testing.B) {
-			rd.SetRollupServing(c.serving)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				serve()
+				serve(c.h)
 			}
 		})
 	}
-	rd.SetRollupServing(true)
-	if ps := rd.PlannerStats(); ps.Tiers["1d"] == 0 {
+	if ps := rolled.PlannerStats(); ps.Tiers["1d"] == 0 {
 		b.Fatalf("benchmark never hit the 1d tier: %+v", ps)
+	}
+	if ps := raw.PlannerStats(); len(ps.Tiers) != 0 {
+		b.Fatalf("rollup-less corpus served from a tier: %+v", ps)
 	}
 }
 
@@ -91,7 +95,7 @@ func BenchmarkRollupLongRange(b *testing.B) {
 // months — from the 1h tier via RollupTotals vs streaming every snapshot
 // through the cursor the raw analyses use.
 func BenchmarkRollupWeeklyFold(b *testing.B) {
-	rd := buildBenchCorpus(b, 6)
+	rd := buildBenchCorpus(b, 6, true)
 	ctx := context.Background()
 
 	b.Run("rollup-1h", func(b *testing.B) {

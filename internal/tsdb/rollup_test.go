@@ -47,29 +47,27 @@ func getRaw(t *testing.T, h http.Handler, url string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// assertPlannedEqualsRaw serves url once with rollup serving on and once
-// with it off and requires byte-identical 200 responses, leaving serving on.
-func assertPlannedEqualsRaw(t *testing.T, rd *Reader, h http.Handler, url string) {
+// assertLoadMatchesOracle serves a stepped load query on linkID and
+// requires a 200 byte-identical to the slow reference oracle: whatever tier
+// or raw tail served it, the answer is a raw resample's.
+func assertLoadMatchesOracle(t *testing.T, rd *Reader, h http.Handler, linkID, query string) []byte {
 	t.Helper()
-	rd.SetRollupServing(true)
-	c1, b1 := getRaw(t, h, url)
-	planned := append([]byte(nil), b1...)
-	rd.SetRollupServing(false)
-	c2, raw := getRaw(t, h, url)
-	rd.SetRollupServing(true)
-	if c1 != http.StatusOK || c2 != http.StatusOK {
-		t.Fatalf("GET %s: status %d planned / %d raw", url, c1, c2)
+	code, got := getRaw(t, h, "/api/v1/links/"+linkID+"/load?"+query)
+	want, _ := oracleLoad(t, rd, linkID, query)
+	if code != http.StatusOK {
+		t.Fatalf("load %s?%s: status %d (%s)", linkID, query, code, got)
 	}
-	if !bytes.Equal(planned, raw) {
-		t.Fatalf("GET %s: planned response differs from raw response:\nplanned: %s\nraw:     %s", url, planned, raw)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("load %s?%s differs from the raw resample oracle:\nserved: %s\noracle: %s", linkID, query, got, want)
 	}
+	return got
 }
 
 // TestRollupEquivalenceProperty: over a pseudo-random 51-hour series that
 // crosses two topology changes, every divisor step — 1h-tier multiples,
 // 1d-tier multiples, with and without bands, full-range and sub-range —
-// serves byte-identically from the planner and from the raw scan. Steps no
-// tier divides stay on the raw path and trivially agree.
+// serves byte-identically to the raw resample oracle, and to the same maps
+// written without rollup tiers. Steps no tier divides stay on the raw path.
 func TestRollupEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const n = 620 // ~51h40m of 5-minute snapshots: both default tiers seal buckets
@@ -80,11 +78,17 @@ func TestRollupEquivalenceProperty(t *testing.T) {
 	rd := openArchive(t, buildArchive(t, 64, maps...))
 	rd.SetBlockCache(NewBlockCache(1 << 20))
 	h := NewAPIHandler(rd)
+	rawRd := openArchive(t, buildRawArchive(t, 64, maps...))
+	rawH := NewAPIHandler(rawRd)
 	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
 
 	// A sub-range starting exactly at a block base that is hour-aligned: the
 	// planner can prove the anchor and serve the bulk from the 1h tier.
 	sub := "&from=" + at(5*192).Format(time.RFC3339) + "&to=" + at(5*480).Format(time.RFC3339)
+	// A block base that is NOT hour-aligned (block 1 starts at 5h20m): the
+	// anchor is provable but no tier's buckets nest in its windows, so the
+	// planner must decline.
+	misaligned := "&from=" + at(5*64).Format(time.RFC3339) + "&to=" + at(5*480).Format(time.RFC3339)
 	queries := []string{
 		"step=1h", "step=2h", "step=3h", "step=5h", // 1h tier
 		"step=24h", "step=48h", // 1d tier
@@ -92,9 +96,16 @@ func TestRollupEquivalenceProperty(t *testing.T) {
 		"step=1h&bands=1", "step=24h&bands=1", // min/max bands from rollup extremes
 		"step=10m", "step=35m", // no divisor: raw on both sides
 		"step=1h" + sub, // hybrid over a sub-range crossing fragment merges
+		"step=1h" + misaligned, "step=24h&bands=1" + misaligned,
 	}
 	for _, q := range queries {
-		assertPlannedEqualsRaw(t, rd, h, "/api/v1/links/"+id+"/load?"+q)
+		planned := assertLoadMatchesOracle(t, rd, h, id, q)
+		if raw := assertLoadMatchesOracle(t, rawRd, rawH, id, q); !bytes.Equal(planned, raw) {
+			t.Fatalf("step query %q: rollup archive and rollup-less archive disagree", q)
+		}
+	}
+	if ps := rawRd.PlannerStats(); len(ps.Tiers) != 0 || ps.Raw != int64(len(queries)) {
+		t.Errorf("rollup-less archive planner stats = %+v, want %d raw serves", ps, len(queries))
 	}
 
 	ps := rd.PlannerStats()
@@ -246,8 +257,8 @@ func TestRollupCorruptFallbackServesRaw(t *testing.T) {
 	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
 	u := "/api/v1/links/" + id + "/load?step=1h"
 
-	clean.SetRollupServing(false)
-	code, want := getRaw(t, NewAPIHandler(clean), u)
+	// The reference: the same maps written without rollup tiers.
+	code, want := getRaw(t, NewAPIHandler(openArchive(t, buildRawArchive(t, 64, maps...))), u)
 	if code != http.StatusOK {
 		t.Fatalf("raw reference: status %d", code)
 	}
@@ -346,7 +357,8 @@ func TestRollupTotalsMatchRaw(t *testing.T) {
 }
 
 // TestRollupLiveTailServing: a tailing reader over a live (checkpointed)
-// archive serves planned queries byte-identically to raw, keeps doing so
+// archive serves planned queries byte-identically to the raw resample
+// oracle, keeps doing so
 // across Refresh as new commits (including a new rollup block) land, and
 // the tier horizon keeps the still-filling bucket on the raw path.
 func TestRollupLiveTailServing(t *testing.T) {
@@ -376,11 +388,10 @@ func TestRollupLiveTailServing(t *testing.T) {
 	}
 	defer rd.Close()
 	h := NewAPIHandler(rd)
-	key := LinkKeysOf(seqMap(wmap.Europe, 0))[0]
-	u := "/api/v1/links/" + key.ID(wmap.Europe) + "/load?step=1h"
+	id := LinkKeysOf(seqMap(wmap.Europe, 0))[0].ID(wmap.Europe)
 
-	assertPlannedEqualsRaw(t, rd, h, u)
-	assertPlannedEqualsRaw(t, rd, h, u+"&bands=1")
+	assertLoadMatchesOracle(t, rd, h, id, "step=1h")
+	assertLoadMatchesOracle(t, rd, h, id, "step=1h&bands=1")
 	if ps := rd.PlannerStats(); ps.Tiers["1h"] == 0 {
 		t.Fatalf("live archive not served from the 1h tier: %+v", ps)
 	}
@@ -394,7 +405,7 @@ func TestRollupLiveTailServing(t *testing.T) {
 	if got := rd.st().rollups; len(got) < 2 {
 		t.Fatalf("refreshed state holds %d rollup blocks, want at least 2", len(got))
 	}
-	assertPlannedEqualsRaw(t, rd, h, u)
+	assertLoadMatchesOracle(t, rd, h, id, "step=1h")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,27 @@ func grownMap(id wmap.MapID, t time.Time) *wmap.Map {
 // buildArchive writes maps through a fresh writer and returns the bytes.
 func buildArchive(t *testing.T, blockPoints int, maps ...*wmap.Map) []byte {
 	t.Helper()
+	return writeTestArchive(t, blockPoints, true, maps...)
+}
+
+// buildRawArchive is buildArchive with the rollup tiers off — the archive
+// `wmparse -rollups off` writes, whose every load query is served raw.
+func buildRawArchive(t *testing.T, blockPoints int, maps ...*wmap.Map) []byte {
+	t.Helper()
+	return writeTestArchive(t, blockPoints, false, maps...)
+}
+
+func writeTestArchive(t *testing.T, blockPoints int, rollups bool, maps ...*wmap.Map) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if blockPoints > 0 {
 		w.SetBlockPoints(blockPoints)
+	}
+	if !rollups {
+		if err := w.SetRollupResolutions(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, m := range maps {
 		if err := w.Append(m); err != nil {
