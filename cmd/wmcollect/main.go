@@ -81,7 +81,9 @@ func main() {
 
 	// The live-ingest hook: one attribution cache and scan scratch shared
 	// across the whole crawl (OnStored is called on the poll goroutine, so
-	// no locking), feeding a live archive committed once per cycle.
+	// no locking), feeding a live archive committed once per cycle. The
+	// cache keeps one entry per map, so polling the maps in turn still hits
+	// on every load-only snapshot.
 	var (
 		arch     *tsdb.Writer
 		dropped  int

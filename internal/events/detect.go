@@ -1,7 +1,8 @@
 package events
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"ovhweather/internal/peeringdb"
@@ -19,14 +20,39 @@ type ChurnTracker struct {
 // previous one, or nil when this is the first snapshot or nothing beyond
 // loads changed.
 func (c *ChurnTracker) Observe(m *wmap.Map) *wmap.Diff {
-	defer func() { c.prev = m }()
-	if c.prev == nil {
+	prev := c.prev
+	c.prev = m
+	if prev == nil || sameTopology(prev, m) {
 		return nil
 	}
-	if d := wmap.Compare(c.prev, m); !d.Empty() {
+	if d := wmap.Compare(prev, m); !d.Empty() {
 		return d
 	}
 	return nil
+}
+
+// sameTopology is the load-only fast path of Observe: when both snapshots
+// list the same node names and the same link identities (A, B, LabelA,
+// LabelB) in the same order, the node sets and the link multisets are
+// equal, so wmap.Compare's diff is empty by construction. Consecutive
+// snapshots almost always pass, which spares Compare's maps; any other
+// difference (reordering included) falls back to Compare.
+func sameTopology(a, b *wmap.Map) bool {
+	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
+		return false
+	}
+	for i := range a.Nodes {
+		if a.Nodes[i].Name != b.Nodes[i].Name {
+			return false
+		}
+	}
+	for i := range a.Links {
+		la, lb := &a.Links[i], &b.Links[i]
+		if la.A != lb.A || la.B != lb.B || la.LabelA != lb.LabelA || la.LabelB != lb.LabelB {
+			return false
+		}
+	}
+	return true
 }
 
 // Prev returns the previously observed snapshot (nil before the first).
@@ -92,7 +118,12 @@ type Direction struct {
 // the way the congestion fold always has: the ordinal counter for an
 // endpoint pair advances once per physical link, in both orientations.
 func EachDirection(m *wmap.Map, fn func(Direction)) {
-	ordinals := make(map[[2]string]int)
+	eachDirection(m, make(map[[2]string]int), fn)
+}
+
+// eachDirection is EachDirection counting ordinals in the caller's empty
+// map, so a detector can reuse one map across snapshots.
+func eachDirection(m *wmap.Map, ordinals map[[2]string]int, fn func(Direction)) {
 	for _, l := range m.Links {
 		fn(Direction{From: l.A, To: l.B, Label: l.LabelA, Ordinal: ordinals[[2]string{l.A, l.B}], Load: l.LoadAB})
 		fn(Direction{From: l.B, To: l.A, Label: l.LabelB, Ordinal: ordinals[[2]string{l.B, l.A}], Load: l.LoadBA})
@@ -132,20 +163,27 @@ type churnKey struct {
 	labelA, labelB string
 }
 
-func (k churnKey) less(o churnKey) bool {
-	if k.node != o.node {
-		return k.node < o.node
+func compareChurnKeys(k, o churnKey) int {
+	if c := cmp.Compare(k.node, o.node); c != 0 {
+		return c
 	}
-	if k.a != o.a {
-		return k.a < o.a
+	if c := cmp.Compare(k.a, o.a); c != 0 {
+		return c
 	}
-	if k.b != o.b {
-		return k.b < o.b
+	if c := cmp.Compare(k.b, o.b); c != 0 {
+		return c
 	}
-	if k.labelA != o.labelA {
-		return k.labelA < o.labelA
+	if c := cmp.Compare(k.labelA, o.labelA); c != 0 {
+		return c
 	}
-	return k.labelB < o.labelB
+	return cmp.Compare(k.labelB, o.labelB)
+}
+
+func compareGroupKeys(k, o [2]string) int {
+	if c := cmp.Compare(k[0], o[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(k[1], o[1])
 }
 
 // pendingChurn accumulates the net delta of one topology element inside
@@ -168,6 +206,11 @@ type maintGroup struct {
 // returns the events that became final at that snapshot, in a
 // deterministic order. Detector is not safe for concurrent use.
 //
+// Observe allocates nothing in proportion to the map on a load-only
+// successor: the churn fast path skips wmap.Compare, and the per-snapshot
+// working sets (parallel ordinals, maintenance groups, sort keys, peering
+// loads) live in scratch buffers reused from snapshot to snapshot.
+//
 // A Detector must never be copied: its trackers and maps are one
 // causally ordered state machine, and a value copy forks that history
 // (wmlint's sharded analyzer enforces this).
@@ -181,8 +224,18 @@ type Detector struct {
 	churn     ChurnTracker
 	pending   map[churnKey]*pendingChurn
 	congested map[DirKey]bool
-	maint     map[[2]string]*maintGroup
-	peers     map[string]*UpgradeTracker
+	// maint is the previous snapshot's groups. maintNext is the spare
+	// buffer: it holds older groups, and the next snapshot's groups are
+	// rebuilt into it in place.
+	maint, maintNext map[[2]string]*maintGroup
+	peers            map[string]*UpgradeTracker
+
+	// Scratch reused by every Observe.
+	ordinals  map[[2]string]int
+	churnKeys []churnKey
+	groupKeys [][2]string
+	names     []string
+	loads     []wmap.Load
 }
 
 // NewDetector returns a detector for one map. db may be nil, in which
@@ -195,8 +248,16 @@ func NewDetector(id wmap.MapID, cfg Config, db *peeringdb.DB) *Detector {
 		pending:   make(map[churnKey]*pendingChurn),
 		congested: make(map[DirKey]bool),
 		maint:     make(map[[2]string]*maintGroup),
+		maintNext: make(map[[2]string]*maintGroup),
 		peers:     make(map[string]*UpgradeTracker),
+		ordinals:  make(map[[2]string]int),
 	}
+}
+
+// eachDirection is EachDirection over the detector's reused ordinal map.
+func (d *Detector) eachDirection(m *wmap.Map, fn func(Direction)) {
+	clear(d.ordinals)
+	eachDirection(m, d.ordinals, fn)
 }
 
 // Observe feeds the next snapshot and returns the newly final events.
@@ -246,11 +307,12 @@ func (d *Detector) observeChurn(out []Emitted, t time.Time, diff *wmap.Diff) []E
 	if len(d.pending) == 0 {
 		return out
 	}
-	keys := make([]churnKey, 0, len(d.pending))
+	keys := d.churnKeys[:0]
 	for k := range d.pending {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	slices.SortFunc(keys, compareChurnKeys)
+	d.churnKeys = keys
 	for _, k := range keys {
 		p := d.pending[k]
 		if p.delta == 0 { // the flap cancelled itself inside the window
@@ -272,7 +334,7 @@ func (d *Detector) observeChurn(out []Emitted, t time.Time, diff *wmap.Diff) []E
 
 // observeCongestion applies the hysteresis thresholds to every direction.
 func (d *Detector) observeCongestion(out []Emitted, m *wmap.Map) []Emitted {
-	EachDirection(m, func(dir Direction) {
+	d.eachDirection(m, func(dir Direction) {
 		k := dir.Key()
 		hot := d.congested[k]
 		switch {
@@ -299,9 +361,17 @@ func (d *Detector) observeCongestion(out []Emitted, m *wmap.Map) []Emitted {
 // directed parallel group of unchanged membership, one member's load
 // collapses from >= DrainHigh to <= DrainLow while the siblings' combined
 // load absorbs at least half of what drained.
+//
+// The groups are double-buffered: this snapshot's are rebuilt in the map
+// that held the groups of the snapshot before the previous one, reusing
+// its group structs and slices, and groups absent from this snapshot are
+// dropped afterwards.
 func (d *Detector) observeMaintenance(out []Emitted, prev, m *wmap.Map) []Emitted {
-	groups := make(map[[2]string]*maintGroup)
-	EachDirection(m, func(dir Direction) {
+	groups := d.maintNext
+	for _, g := range groups {
+		g.labels, g.loads = g.labels[:0], g.loads[:0]
+	}
+	d.eachDirection(m, func(dir Direction) {
 		k := [2]string{dir.From, dir.To}
 		g := groups[k]
 		if g == nil {
@@ -311,17 +381,18 @@ func (d *Detector) observeMaintenance(out []Emitted, prev, m *wmap.Map) []Emitte
 		g.labels = append(g.labels, dir.Label)
 		g.loads = append(g.loads, dir.Load)
 	})
+	for k, g := range groups {
+		if len(g.loads) == 0 {
+			delete(groups, k)
+		}
+	}
 	if prev != nil {
-		keys := make([][2]string, 0, len(groups))
+		keys := d.groupKeys[:0]
 		for k := range groups {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
+		slices.SortFunc(keys, compareGroupKeys)
+		d.groupKeys = keys
 		for _, k := range keys {
 			cur, old := groups[k], d.maint[k]
 			if old == nil || len(old.loads) != len(cur.loads) || len(cur.loads) < 2 {
@@ -349,20 +420,21 @@ func (d *Detector) observeMaintenance(out []Emitted, prev, m *wmap.Map) []Emitte
 			}
 		}
 	}
-	d.maint = groups
+	d.maint, d.maintNext = groups, d.maint
 	return out
 }
 
 // observeUpgrades advances the per-peering trackers.
 func (d *Detector) observeUpgrades(out []Emitted, m *wmap.Map) []Emitted {
-	names := make([]string, 0, 4)
+	names := d.names[:0]
 	for _, n := range m.Nodes {
 		if n.Kind == wmap.Peering {
 			names = append(names, n.Name)
 		}
 	}
-	sort.Strings(names)
-	var loads []wmap.Load
+	slices.Sort(names)
+	d.names = names
+	loads := d.loads
 	for _, name := range names {
 		loads = loads[:0]
 		for _, l := range m.Links {
@@ -403,5 +475,6 @@ func (d *Detector) observeUpgrades(out []Emitted, m *wmap.Map) []Emitted {
 			tr.Rearm()
 		}
 	}
+	d.loads = loads
 	return out
 }

@@ -2,13 +2,14 @@ package extract
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"ovhweather/internal/geom"
 	"ovhweather/internal/wmap"
 )
 
-// AttributionCache memoizes Algorithm 2 across consecutive snapshots of one
+// AttributionCache memoizes Algorithm 2 across consecutive snapshots of each
 // map. Attribution depends only on the scanned geometry — router names and
 // boxes, arrow polygons, label boxes and texts — and the Options; the loads
 // merely ride along into the output links. Consecutive snapshots almost
@@ -16,33 +17,41 @@ import (
 // fingerprints the geometry and, on a hit, clones the previous attribution
 // and splices in the fresh loads, skipping Algorithm 2 entirely.
 //
-// The cache holds a single entry (the previous snapshot's geometry), which
-// matches the access pattern: each worker processes one map's timeline in
-// order, and topology changes are rare events after which the new topology
-// again persists for a long run. A fingerprint collision cannot corrupt
-// output because a hit additionally requires full geometry equality.
+// The cache holds one entry per map ID (that map's previous geometry). A
+// batch worker walks one map's timeline in order, and a live collector polls
+// the four maps in turn; either way each map's entry is compared only with
+// that map's next snapshot, so interleaving maps never evicts anything, and
+// a topology change replaces only its own map's entry. Topology changes are
+// rare events after which the new topology again persists for a long run. A
+// fingerprint collision cannot corrupt output because a hit additionally
+// requires full geometry equality.
 //
 // An AttributionCache is not safe for concurrent use; the worker-pool path
-// creates one per worker. It must never be copied by value — the template
-// map is spliced in place on every hit, so a copy would alias mutable
-// state across owners (wmlint's sharded analyzer enforces this).
+// creates one per worker. It must never be copied by value — the templates
+// are spliced in place on every hit, so a copy would alias mutable state
+// across owners (wmlint's sharded analyzer enforces this).
 //
 //wm:nocopy
 type AttributionCache struct {
-	opt Options
+	opt     Options
+	entries map[wmap.MapID]*cacheEntry
 
-	valid       bool
+	hits, misses int
+}
+
+// cacheEntry is one map's cached geometry and its attribution.
+type cacheEntry struct {
 	fingerprint uint64
-	// Deep copies of the cached geometry, owned by the cache (the caller's
-	// ScanResult slices are reused across snapshots).
+	// Deep copies of the cached geometry, owned by the entry (the caller's
+	// ScanResult slices are reused across snapshots). Every arrow polygon
+	// is a window of the one points slab.
 	routers []RawRouter
 	links   []cachedArrows
 	labels  []RawLabel
+	points  []geom.Point
 	// template is the attribution of the cached geometry; loads in its
 	// links are stale and overwritten on every hit.
 	template *wmap.Map
-
-	hits, misses int
 }
 
 // cachedArrows is the geometry of one scanned link: the arrow pair without
@@ -53,7 +62,7 @@ type cachedArrows struct {
 
 // NewAttributionCache returns an empty cache attributing with opt.
 func NewAttributionCache(opt Options) *AttributionCache {
-	return &AttributionCache{opt: opt}
+	return &AttributionCache{opt: opt, entries: make(map[wmap.MapID]*cacheEntry)}
 }
 
 // Options returns the attribution options the cache was created with.
@@ -65,14 +74,15 @@ func (c *AttributionCache) Hits() int { return c.hits }
 // Misses returns the number of Attribute calls that ran Algorithm 2.
 func (c *AttributionCache) Misses() int { return c.misses }
 
-// Attribute is Attribute(res, id, at, c.opt) with memoization. The returned
-// map is owned by the caller; the cache never aliases it.
+// Attribute is Attribute(res, id, at, c.opt) with memoization against id's
+// entry. The returned map is owned by the caller; the cache never aliases
+// it.
 func (c *AttributionCache) Attribute(res *ScanResult, id wmap.MapID, at time.Time) (*wmap.Map, error) {
 	fp := fingerprintGeometry(res)
-	if c.valid && fp == c.fingerprint && c.sameGeometry(res) {
+	e := c.entries[id]
+	if e != nil && fp == e.fingerprint && e.sameGeometry(res) {
 		c.hits++
-		m := c.template.Clone()
-		m.ID = id
+		m := e.template.Clone()
 		m.Time = at
 		// Attribute appends one output link per scanned link, in scan
 		// order, with LoadAB = Loads[0] and LoadBA = Loads[1]; splice the
@@ -91,45 +101,57 @@ func (c *AttributionCache) Attribute(res *ScanResult, id wmap.MapID, at time.Tim
 		// and keeping the previous entry lets a revert still hit.
 		return nil, err
 	}
-	c.store(fp, res, m)
+	if e == nil {
+		e = &cacheEntry{}
+		c.entries[id] = e
+	}
+	e.store(fp, res, m)
 	return m, nil
 }
 
-// store replaces the cache entry with deep copies of res's geometry and the
-// attribution template.
-func (c *AttributionCache) store(fp uint64, res *ScanResult, m *wmap.Map) {
-	c.valid = true
-	c.fingerprint = fp
-	c.routers = append(c.routers[:0], res.Routers...)
-	c.labels = append(c.labels[:0], res.Labels...)
-	c.links = c.links[:0]
+// store replaces the entry with deep copies of res's geometry and the
+// attribution template, reusing the entry's buffers.
+func (e *cacheEntry) store(fp uint64, res *ScanResult, m *wmap.Map) {
+	e.fingerprint = fp
+	e.routers = append(e.routers[:0], res.Routers...)
+	e.labels = append(e.labels[:0], res.Labels...)
+	n := 0
 	for _, l := range res.Links {
-		c.links = append(c.links, cachedArrows{
-			arrowA: append(geom.Polygon(nil), l.ArrowA...),
-			arrowB: append(geom.Polygon(nil), l.ArrowB...),
+		n += len(l.ArrowA) + len(l.ArrowB)
+	}
+	e.points = slices.Grow(e.points[:0], n)
+	e.links = e.links[:0]
+	for _, l := range res.Links {
+		a := len(e.points)
+		e.points = append(e.points, l.ArrowA...)
+		b := len(e.points)
+		e.points = append(e.points, l.ArrowB...)
+		e.links = append(e.links, cachedArrows{
+			arrowA: e.points[a:b:b],
+			arrowB: e.points[b:len(e.points):len(e.points)],
 		})
 	}
-	c.template = m.Clone()
+	e.template = m.Clone()
 }
 
 // sameGeometry reports whether res's geometry equals the cached entry,
 // making hits exact rather than probabilistic.
-func (c *AttributionCache) sameGeometry(res *ScanResult) bool {
-	if len(res.Routers) != len(c.routers) || len(res.Links) != len(c.links) || len(res.Labels) != len(c.labels) {
+func (e *cacheEntry) sameGeometry(res *ScanResult) bool {
+	if len(res.Routers) != len(e.routers) || len(res.Links) != len(e.links) || len(res.Labels) != len(e.labels) {
 		return false
 	}
 	for i, r := range res.Routers {
-		if r.Name != c.routers[i].Name || r.Box != c.routers[i].Box {
+		if r.Name != e.routers[i].Name || r.Box != e.routers[i].Box {
 			return false
 		}
 	}
 	for i, l := range res.Links {
-		if !samePolygon(l.ArrowA, c.links[i].arrowA) || !samePolygon(l.ArrowB, c.links[i].arrowB) {
+		if !samePolygon(l.ArrowA, e.links[i].arrowA) || !samePolygon(l.ArrowB, e.links[i].arrowB) {
 			return false
 		}
 	}
 	for i, l := range res.Labels {
-		if l.Text != c.labels[i].Text || l.Box != c.labels[i].Box {
+		if l.Text != e.labels[i].Text || l.Box != e.labels[i].Box {
 			return false
 		}
 	}

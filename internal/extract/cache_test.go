@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ovhweather/internal/allocbudget"
 	"ovhweather/internal/extract"
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/render"
@@ -206,5 +207,142 @@ func TestAttributionCacheErrorNotCached(t *testing.T) {
 	}
 	if c.Hits() != 1 || c.Misses() != 2 {
 		t.Errorf("hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	}
+}
+
+// withLoads returns a copy of res whose loads are shifted by delta — the
+// load-only successor of a snapshot, sharing its geometry.
+func withLoads(res *extract.ScanResult, delta int) *extract.ScanResult {
+	out := *res
+	out.Links = append([]extract.RawLink(nil), res.Links...)
+	for i := range out.Links {
+		out.Links[i].Loads[0] = wmap.Load((int(out.Links[i].Loads[0]) + delta) % 101)
+		out.Links[i].Loads[1] = wmap.Load((int(out.Links[i].Loads[1]) + 3*delta) % 101)
+	}
+	return &out
+}
+
+// removableLink returns the index of a link whose endpoints both keep
+// other links, so dropping it leaves a map that still passes the
+// connectivity sanity check.
+func removableLink(t *testing.T, m *wmap.Map) int {
+	t.Helper()
+	for i, l := range m.Links {
+		if m.Degree(l.A) > 1 && m.Degree(l.B) > 1 {
+			return i
+		}
+	}
+	t.Fatal("no removable link in the simulated topology")
+	return -1
+}
+
+// TestAttributionCacheInterleavedMaps polls the four maps round-robin, as
+// wmcollect does, through one shared cache. Europe loses a link at step 3
+// and gets it back at step 5; the other maps only change loads. Every
+// output must match uncached attribution byte for byte, Europe's change
+// must not evict the other maps' entries, and the hit/miss counts are
+// exact: four cold misses, Europe's change and its revert.
+func TestAttributionCacheInterleavedMaps(t *testing.T) {
+	sc := netsim.DefaultScenario()
+	opt := extract.DefaultOptions()
+	base := map[wmap.MapID]*extract.ScanResult{}
+	var europe *wmap.Map
+	for _, id := range wmap.AllMaps() {
+		m := simAt(t, id, sc.End)
+		if id == wmap.Europe {
+			europe = m
+		}
+		base[id] = scanOf(t, m)
+	}
+	churned := europe.Clone()
+	drop := removableLink(t, churned)
+	churned.Links = append(churned.Links[:drop:drop], churned.Links[drop+1:]...)
+	europeChurned := scanOf(t, churned)
+
+	const steps = 8
+	c := extract.NewAttributionCache(opt)
+	wantHits, wantMisses := 0, 0
+	for step := 0; step < steps; step++ {
+		at := sc.End.Add(time.Duration(step) * 5 * time.Minute)
+		for _, id := range wmap.AllMaps() {
+			geometry := base[id]
+			if id == wmap.Europe && (step == 3 || step == 4) {
+				geometry = europeChurned
+			}
+			res := withLoads(geometry, step)
+			// Misses: each map's first poll, Europe's link removal, and its
+			// revert (Europe's own entry was replaced by the churned one).
+			wantMiss := step == 0 || (id == wmap.Europe && (step == 3 || step == 5))
+			if wantMiss {
+				wantMisses++
+			} else {
+				wantHits++
+			}
+			hits := c.Hits()
+			want := yamlOf(t, res, id, at, opt)
+			got := cachedYAML(t, c, res, id, at)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d %s: cached YAML diverges from uncached attribution", step, id)
+			}
+			if hit := c.Hits() > hits; hit == wantMiss {
+				t.Errorf("step %d %s: hit=%v, want %v", step, id, hit, !wantMiss)
+			}
+		}
+	}
+	if c.Hits() != wantHits || c.Misses() != wantMisses {
+		t.Errorf("hits=%d misses=%d, want %d/%d", c.Hits(), c.Misses(), wantHits, wantMisses)
+	}
+	if wantMisses != 6 {
+		t.Fatalf("timeline expects %d misses, want 6", wantMisses)
+	}
+}
+
+// TestAllocBudgetAttributionCacheHit pins a cache hit, with the four maps
+// interleaved through one cache, at the output map's own allocations (the
+// map and its node and link slices).
+func TestAllocBudgetAttributionCacheHit(t *testing.T) {
+	sc := netsim.DefaultScenario()
+	ids := wmap.AllMaps()
+	scans := make([]*extract.ScanResult, len(ids))
+	for i, id := range ids {
+		scans[i] = scanOf(t, simAt(t, id, sc.End))
+	}
+	c := extract.NewAttributionCache(extract.DefaultOptions())
+	for i, id := range ids {
+		if _, err := c.Attribute(scans[i], id, sc.End); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call := 0
+	allocbudget.Check(t, 40, 4, func() {
+		i := call % len(ids)
+		call++
+		if _, err := c.Attribute(scans[i], ids[i], sc.End.Add(time.Duration(call)*5*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if c.Misses() != len(ids) {
+		t.Errorf("misses=%d after priming, want %d: interleaved maps evicted each other", c.Misses(), len(ids))
+	}
+}
+
+// TestAllocBudgetScanBytesInto pins Algorithm 1 over a rendered Europe map,
+// reusing one ScanResult as the live ingest does, at a constant handful of
+// allocations (the lexer's point arena and the scan closure) rather than
+// one per element, router, link or label.
+func TestAllocBudgetScanBytesInto(t *testing.T) {
+	var buf bytes.Buffer
+	if err := render.Render(&buf, simAt(t, wmap.Europe, netsim.DefaultScenario().End), render.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var res extract.ScanResult
+	allocbudget.Check(t, 20, 64, func() {
+		if err := extract.ScanBytesInto(&res, data, extract.ScanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(res.Links) == 0 {
+		t.Fatal("scan found no links")
 	}
 }

@@ -128,13 +128,20 @@ func ScanBytesInto(res *ScanResult, data []byte, opt ScanOptions) error {
 }
 
 // scanInto is the Algorithm 1 state machine, independent of how the element
-// stream is produced.
+// stream is produced. The half-built router box, link and label are held by
+// value behind presence flags, so a document costs a constant number of
+// allocations rather than one per router, link and label.
+//
+//wm:hotpath
 func scanInto(res *ScanResult, opt ScanOptions, stream func(func(svg.Element) error) error) error {
 	var (
-		pendingRouterBox *geom.Rect
-		pendingLink      *RawLink
-		loadsSeen        int
-		pendingLabel     *RawLabel
+		routerBox    geom.Rect
+		hasRouterBox bool
+		link         RawLink
+		hasLink      bool
+		loadsSeen    int
+		label        RawLabel
+		hasLabel     bool
 	)
 	err := stream(func(e svg.Element) error {
 		switch {
@@ -142,63 +149,62 @@ func scanInto(res *ScanResult, opt ScanOptions, stream func(func(svg.Element) er
 			// Router or peering: white box followed by its name.
 			switch e.Tag {
 			case svg.TagRect:
-				box := e.Rect
-				pendingRouterBox = &box
+				routerBox, hasRouterBox = e.Rect, true
 			case svg.TagText:
-				if pendingRouterBox == nil {
+				if !hasRouterBox {
 					return scanErrorf("router name %q without a preceding box", e.Text)
 				}
 				if e.Text == "" {
 					return scanErrorf("router box with empty name")
 				}
-				res.Routers = append(res.Routers, RawRouter{Name: e.Text, Box: *pendingRouterBox})
-				pendingRouterBox = nil
+				res.Routers = append(res.Routers, RawRouter{Name: e.Text, Box: routerBox})
+				hasRouterBox = false
 			}
 		case e.Tag == svg.TagPolygon:
 			// Link arrow: first arrow opens a link, second completes the pair.
 			if len(e.Points) < 3 {
 				return scanErrorf("arrow polygon with %d points", len(e.Points))
 			}
-			if pendingLink == nil {
-				pendingLink = &RawLink{ArrowA: e.Points, Fills: [2]string{e.Fill, ""}}
+			if !hasLink {
+				link, hasLink = RawLink{ArrowA: e.Points, Fills: [2]string{e.Fill, ""}}, true
 				loadsSeen = 0
-			} else if len(pendingLink.ArrowB) == 0 {
-				pendingLink.ArrowB = e.Points
-				pendingLink.Fills[1] = e.Fill
+			} else if len(link.ArrowB) == 0 {
+				link.ArrowB = e.Points
+				link.Fills[1] = e.Fill
 			} else {
 				return scanErrorf("third arrow before the link's loads")
 			}
 		case e.HasClass("labellink"):
 			// Load percentage: the two loads follow the two arrows.
-			if pendingLink == nil || len(pendingLink.ArrowB) == 0 {
+			if !hasLink || len(link.ArrowB) == 0 {
 				return scanErrorf("load %q with no open arrow pair", e.Text)
 			}
 			load, err := ParseLoad(e.Text)
 			if err != nil {
 				return err
 			}
-			if opt.VerifyColors && !wmap.ColorMatchesLoad(pendingLink.Fills[loadsSeen], load) {
+			if opt.VerifyColors && !wmap.ColorMatchesLoad(link.Fills[loadsSeen], load) {
 				return scanErrorf("load %s disagrees with its arrow color %s",
-					load, pendingLink.Fills[loadsSeen])
+					load, link.Fills[loadsSeen])
 			}
-			pendingLink.Loads[loadsSeen] = load
+			link.Loads[loadsSeen] = load
 			loadsSeen++
 			if loadsSeen == 2 {
-				res.Links = append(res.Links, *pendingLink)
-				pendingLink = nil
+				res.Links = append(res.Links, link)
+				hasLink = false
 			}
 		case e.HasClass("node"):
 			// Link label: white box followed by its text.
 			switch e.Tag {
 			case svg.TagRect:
-				pendingLabel = &RawLabel{Box: e.Rect}
+				label, hasLabel = RawLabel{Box: e.Rect}, true
 			case svg.TagText:
-				if pendingLabel == nil {
+				if !hasLabel {
 					return scanErrorf("label text %q without a preceding box", e.Text)
 				}
-				pendingLabel.Text = e.Text
-				res.Labels = append(res.Labels, *pendingLabel)
-				pendingLabel = nil
+				label.Text = e.Text
+				res.Labels = append(res.Labels, label)
+				hasLabel = false
 			}
 		}
 		return nil
@@ -206,13 +212,13 @@ func scanInto(res *ScanResult, opt ScanOptions, stream func(func(svg.Element) er
 	if err != nil {
 		return err
 	}
-	if pendingLink != nil {
+	if hasLink {
 		return scanErrorf("document ends with an incomplete link (%d loads)", loadsSeen)
 	}
-	if pendingRouterBox != nil {
+	if hasRouterBox {
 		return scanErrorf("document ends with an unnamed router box")
 	}
-	if pendingLabel != nil {
+	if hasLabel {
 		return scanErrorf("document ends with a textless label box")
 	}
 	return nil

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ovhweather/internal/geom"
 )
@@ -60,15 +62,42 @@ func (e Element) ClassHasPrefix(prefix string) bool {
 }
 
 // HasClass reports whether cls appears as one of the space-separated class
-// tokens.
+// tokens. Tokens split exactly as strings.Fields splits them (on
+// unicode.IsSpace, so U+0085 and U+00A0 separate too, and an invalid UTF-8
+// byte is a non-space rune of width one), but the walk compares each token
+// in place instead of building the token slice: Algorithm 1 asks this of
+// nearly every element of every document.
+//
+//wm:hotpath
 func (e Element) HasClass(cls string) bool {
-	for _, tok := range strings.Fields(e.Class) {
-		if tok == cls {
-			return true
+	s := e.Class
+	start := -1 // start of the current token, -1 between tokens
+	for i := 0; i < len(s); {
+		var space bool
+		w := 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = fieldSpace[c]
+		} else {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
+		switch {
+		case space && start >= 0:
+			if s[start:i] == cls {
+				return true
+			}
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += w
 	}
-	return false
+	return start >= 0 && s[start:] == cls
 }
+
+// fieldSpace marks the ASCII bytes unicode.IsSpace accepts.
+var fieldSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // ParsePoints parses an SVG points attribute ("x1,y1 x2,y2 ..." with
 // either comma or whitespace separators) into a polygon.

@@ -40,7 +40,30 @@ type blockMeta struct {
 type openBlock struct {
 	topoIndex int
 	times     []int64
-	cols      [][]uint8 // 2L columns: link i stores AB at 2i, BA at 2i+1
+	// 2L columns: link i stores AB at 2i, BA at 2i+1. Every column is a
+	// capacity-clipped window of one slab, so all of them grow together.
+	cols [][]uint8
+}
+
+// reserve makes room for one more point in every column. The columns fill
+// in lock step, so they run out of room together; the slab is then
+// replaced by one twice as deep, costing one allocation per doubling
+// instead of one per column. The first slab is one point deep, not
+// DefaultBlockPoints: a live writer flushes a one-point block at every
+// per-cycle Sync, and reprocessing at a weekly step cuts a block at almost
+// every snapshot, so a full-depth slab would mostly go unused.
+func (ob *openBlock) reserve() {
+	if len(ob.cols) == 0 || len(ob.cols[0]) < cap(ob.cols[0]) {
+		return
+	}
+	n := len(ob.cols[0])
+	depth := max(2*n, 1)
+	slab := make([]uint8, len(ob.cols)*depth)
+	for c, col := range ob.cols {
+		win := slab[c*depth : c*depth+n : (c+1)*depth]
+		copy(win, col)
+		ob.cols[c] = win
+	}
 }
 
 // ArchiveStats summarizes an archive for logs, tests, and benchmarks.
@@ -87,6 +110,13 @@ type Writer struct {
 	open  map[wmap.MapID]*openBlock
 	last  map[wmap.MapID]int64
 	index []blockMeta
+
+	// Block-encoding scratch reused by every flushBlock: the encoded
+	// columns, their end offsets, and the payload (writeAll's io.Writer
+	// must not retain it).
+	colScratch     []byte
+	colEnds        []int
+	payloadScratch []byte
 
 	// Rollup tier state; see rollup.go. rollupReady flips at the first
 	// append/sync/close, after which the resolutions are frozen and (on a
@@ -502,6 +532,7 @@ func (w *Writer) Append(m *wmap.Map) error {
 		w.open[m.ID] = ob
 	}
 	ob.times = append(ob.times, t)
+	ob.reserve()
 	for i, l := range m.Links {
 		ob.cols[2*i] = append(ob.cols[2*i], uint8(l.LoadAB))
 		ob.cols[2*i+1] = append(ob.cols[2*i+1], uint8(l.LoadBA))
@@ -556,34 +587,36 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 		return err
 	}
 	L := len(ob.cols) / 2
-	payload := make([]byte, 0, 32+4*len(ob.cols)+n+n*len(ob.cols)/4)
+	// The time column and the load columns are encoded back to back into
+	// one reused buffer; ends[c] is where column c ends (the time column is
+	// c = 0), which gives the directory's lengths.
+	cols, ends := w.colScratch[:0], w.colEnds[:0]
+	for i := 1; i < n; i++ {
+		cols = binary.AppendUvarint(cols, uint64(ob.times[i]-ob.times[i-1]))
+	}
+	ends = append(ends, len(cols))
+	for _, col := range ob.cols {
+		cols = binary.AppendUvarint(cols, uint64(col[0]))
+		for i := 1; i < len(col); i++ {
+			cols = binary.AppendVarint(cols, int64(col[i])-int64(col[i-1]))
+		}
+		ends = append(ends, len(cols))
+	}
+	w.colScratch, w.colEnds = cols, ends
+
+	payload := w.payloadScratch[:0]
 	payload = binary.AppendUvarint(payload, w.intern(string(id)))
 	payload = binary.AppendUvarint(payload, uint64(ob.topoIndex))
 	payload = binary.AppendUvarint(payload, uint64(ob.times[0]))
 	payload = binary.AppendUvarint(payload, uint64(n))
 	payload = binary.AppendUvarint(payload, uint64(L))
-
-	timeCol := make([]byte, 0, n)
-	for i := 1; i < n; i++ {
-		timeCol = binary.AppendUvarint(timeCol, uint64(ob.times[i]-ob.times[i-1]))
+	prev := 0
+	for _, end := range ends {
+		payload = binary.AppendUvarint(payload, uint64(end-prev))
+		prev = end
 	}
-	colBufs := make([][]byte, len(ob.cols))
-	for c, col := range ob.cols {
-		buf := make([]byte, 0, len(col)+1)
-		buf = binary.AppendUvarint(buf, uint64(col[0]))
-		for i := 1; i < len(col); i++ {
-			buf = binary.AppendVarint(buf, int64(col[i])-int64(col[i-1]))
-		}
-		colBufs[c] = buf
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(timeCol)))
-	for _, cb := range colBufs {
-		payload = binary.AppendUvarint(payload, uint64(len(cb)))
-	}
-	payload = append(payload, timeCol...)
-	for _, cb := range colBufs {
-		payload = append(payload, cb...)
-	}
+	payload = append(payload, cols...)
+	w.payloadScratch = payload
 	if len(payload) > math.MaxInt32 {
 		return fmt.Errorf("tsdb: block payload of %d bytes exceeds the frame limit", len(payload))
 	}
