@@ -134,7 +134,7 @@ func BenchmarkFoldCorpus(b *testing.B) {
 			}
 		}
 	})
-	// The PR 4 fold path: parallel read-ahead decode over the decoded-block
+	// The PR 4 fold path: ordered parallel decode over the decoded-block
 	// cache, folding through the allocation-free scratch view. The first
 	// iteration decodes and fills the cache; steady state (a dashboard
 	// re-folding hot history) never decodes and never clones.

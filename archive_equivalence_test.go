@@ -176,7 +176,7 @@ func TestArchiveEquivalence(t *testing.T) {
 		}
 		return cur.Err()
 	}
-	// The serving-path variant: parallel read-ahead decode over a shared
+	// The serving-path variant: ordered parallel decode over a shared
 	// decoded-block cache, yielding the allocation-free scratch view. Must
 	// be indistinguishable from the sequential cursor — same snapshots,
 	// same order, byte-identical analyses.

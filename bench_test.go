@@ -682,7 +682,7 @@ func BenchmarkProcessMapParallel(b *testing.B) {
 
 // BenchmarkWalkMapsParallel measures the chronological fold over processed
 // snapshots at several decoding worker counts — the read side every figure
-// regeneration pays, reorder buffer included.
+// regeneration pays, in-order delivery included.
 func BenchmarkWalkMapsParallel(b *testing.B) {
 	f := getFixture(b)
 	const snapshots = 64

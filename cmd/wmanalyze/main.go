@@ -188,8 +188,8 @@ func run(cfg config) error {
 			}
 		}
 		return func(yield func(*wmap.Map) error) error {
-			// Snapshots decode on a worker pool; the reorder buffer keeps
-			// the yield order chronological, as the analyses require.
+			// Snapshots decode on an ordered worker pool that keeps the
+			// yield order chronological, as the analyses require.
 			return store.WalkMapsParallel(ctx, id, cfg.workers, func(m *wmap.Map) error {
 				if m.Time.Before(from) || m.Time.After(to) {
 					return nil

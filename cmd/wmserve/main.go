@@ -67,6 +67,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -173,10 +174,18 @@ func newHandler(site http.Handler, rd *tsdb.Reader, cacheBytes int64, hub *event
 	if rd != nil {
 		cache := tsdb.NewBlockCache(cacheBytes)
 		rd.SetBlockCache(cache)
-		publishCacheStats(cache)
-		publishPlannerStats(rd)
-		publishGridStats(rd)
-		publishEventStats(hub, rd)
+		publishExpvar("tsdb_block_cache", func() any { return cache.Stats() })
+		publishExpvar("tsdb_planner", func() any { return rd.PlannerStats() })
+		publishExpvar("tsdb_grid", func() any { return rd.GridStats() })
+		// Persisted event frames plus, in -live mode, the broadcaster's
+		// subscriber count and published/dropped/per-type fire totals.
+		publishExpvar("tsdb_events", func() any {
+			out := map[string]any{"frames": rd.EventFrames()}
+			if hub != nil {
+				out["broadcast"] = hub.Stats()
+			}
+			return out
+		})
 		mux.Handle("/api/v1/", tsdb.NewAPIHandlerWithStream(rd, hub))
 		mux.Handle("/debug/vars", expvar.Handler())
 	}
@@ -184,86 +193,27 @@ func newHandler(site http.Handler, rd *tsdb.Reader, cacheBytes int64, hub *event
 	return mux
 }
 
-// publishCacheStats exposes the block cache's counters as the
-// tsdb_block_cache expvar. Publish panics on duplicate names, so re-entry
-// (tests call newHandler repeatedly) rebinds through a stable Func that
-// reads the latest cache.
-var cacheVar struct {
-	cache *tsdb.BlockCache
-	once  bool
-}
+// expvarSources maps each published expvar name to the function it reads
+// now. expvar.Publish panics on a duplicate name, so a name is published
+// once, as a Func that reads through this map; a later newHandler call
+// (tests build several) rebinds the name to the new reader or cache.
+var (
+	expvarMu      sync.Mutex
+	expvarSources = map[string]func() any{}
+)
 
-func publishCacheStats(c *tsdb.BlockCache) {
-	cacheVar.cache = c
-	if cacheVar.once {
-		return
+func publishExpvar(name string, src func() any) {
+	expvarMu.Lock()
+	defer expvarMu.Unlock()
+	if _, ok := expvarSources[name]; !ok {
+		expvar.Publish(name, expvar.Func(func() any {
+			expvarMu.Lock()
+			f := expvarSources[name]
+			expvarMu.Unlock()
+			return f()
+		}))
 	}
-	cacheVar.once = true
-	expvar.Publish("tsdb_block_cache", expvar.Func(func() any {
-		return cacheVar.cache.Stats()
-	}))
-}
-
-// publishPlannerStats exposes the query planner's per-tier counters as the
-// tsdb_planner expvar, with the same rebind-through-a-Func dance as the
-// cache stats.
-var plannerVar struct {
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishPlannerStats(rd *tsdb.Reader) {
-	plannerVar.rd = rd
-	if plannerVar.once {
-		return
-	}
-	plannerVar.once = true
-	expvar.Publish("tsdb_planner", expvar.Func(func() any {
-		return plannerVar.rd.PlannerStats()
-	}))
-}
-
-// publishGridStats exposes the grid engine's counters as the tsdb_grid
-// expvar, with the same rebind-through-a-Func dance as the cache stats.
-var gridVar struct {
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishGridStats(rd *tsdb.Reader) {
-	gridVar.rd = rd
-	if gridVar.once {
-		return
-	}
-	gridVar.once = true
-	expvar.Publish("tsdb_grid", expvar.Func(func() any {
-		return gridVar.rd.GridStats()
-	}))
-}
-
-// publishEventStats exposes the event subsystem's counters — persisted
-// event frames plus, in -live mode, the broadcaster's subscriber count and
-// published/dropped/per-type fire totals — as the tsdb_events expvar, with
-// the same rebind-through-a-Func dance as the cache stats.
-var eventsVar struct {
-	hub  *events.Broadcaster
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishEventStats(hub *events.Broadcaster, rd *tsdb.Reader) {
-	eventsVar.hub, eventsVar.rd = hub, rd
-	if eventsVar.once {
-		return
-	}
-	eventsVar.once = true
-	expvar.Publish("tsdb_events", expvar.Func(func() any {
-		out := map[string]any{"frames": eventsVar.rd.EventFrames()}
-		if eventsVar.hub != nil {
-			out["broadcast"] = eventsVar.hub.Stats()
-		}
-		return out
-	}))
+	expvarSources[name] = src
 }
 
 // runRefresher polls the live archive for new committed blocks until ctx

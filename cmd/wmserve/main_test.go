@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
@@ -92,11 +93,30 @@ func TestNewHandlerMountsArchiveAPI(t *testing.T) {
 		t.Errorf("cache not wired: stats %+v after repeated topology serves", s)
 	}
 	body := get("/debug/vars").Body.String()
-	if !strings.Contains(body, "tsdb_block_cache") {
-		t.Error("expvar page lacks tsdb_block_cache")
+	for _, name := range []string{"tsdb_block_cache", "tsdb_planner", "tsdb_grid", "tsdb_events"} {
+		if !strings.Contains(body, `"`+name+`"`) {
+			t.Errorf("expvar page lacks %s", name)
+		}
 	}
-	if !strings.Contains(body, "tsdb_events") {
-		t.Error("expvar page lacks tsdb_events")
+	// Each newHandler call rebinds the published vars: the cache budget on
+	// /debug/vars follows the latest handler's cacheBytes.
+	budget := func(h http.Handler) int64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+		var vars struct {
+			Cache tsdb.CacheStats `json:"tsdb_block_cache"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+			t.Fatalf("/debug/vars: %v", err)
+		}
+		return vars.Cache.Budget
+	}
+	if b := budget(h); b != 1<<20 {
+		t.Errorf("tsdb_block_cache budget = %d, want %d", b, 1<<20)
+	}
+	h2 := newHandler(http.NotFoundHandler(), rd, 3<<20, nil, newHealth("starting"))
+	if b := budget(h2); b != 3<<20 {
+		t.Errorf("after a second newHandler, tsdb_block_cache budget = %d, want %d", b, 3<<20)
 	}
 
 	// Without an archive the site handler serves unchanged, but the health

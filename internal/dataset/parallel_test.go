@@ -241,7 +241,7 @@ func writeSyntheticYAMLs(t *testing.T, s *Store, id wmap.MapID, n int) []time.Ti
 	return times
 }
 
-// TestWalkMapsParallelChronologicalOrder is the reorder-buffer proof: 200
+// TestWalkMapsParallelChronologicalOrder is the in-order delivery proof: 200
 // snapshots with strictly increasing timestamps, decoded by 8 workers, must
 // reach the fold function in exact chronological order.
 func TestWalkMapsParallelChronologicalOrder(t *testing.T) {

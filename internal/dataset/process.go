@@ -116,19 +116,15 @@ type procScratch struct {
 // extract, marshal, write — and returns the outcome. It shares no state
 // across snapshots except cache and scr, which belong to exactly one worker;
 // that is what makes ProcessMap embarrassingly parallel per input.
-func (s *Store) processSnapshot(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch) outcome {
-	out, _ := s.processSnapshotEmit(id, at, cache, scr, false)
-	return out
-}
-
-// processSnapshotEmit is processSnapshot with an optional map result: when
-// wantMap is true the successfully processed snapshot is also returned so an
-// ordered Emit pipeline can forward it without re-reading the YAML. Snapshots
-// skipped because their YAML already exists are loaded back in that case, so
-// a resumed run still emits the complete series; a load failure downgrades
-// the skip to outOtherFail rather than emitting a gap silently. The map is a
-// fresh value on every call (cache.Attribute clones) and safe to retain.
-func (s *Store) processSnapshotEmit(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch, wantMap bool) (outcome, *wmap.Map) {
+//
+// When wantMap is true the successfully processed snapshot is also returned
+// so an ordered Emit pipeline can forward it without re-reading the YAML.
+// Snapshots skipped because their YAML already exists are loaded back in
+// that case, so a resumed run still emits the complete series; a load
+// failure downgrades the skip to outOtherFail rather than emitting a gap
+// silently. The map is a fresh value on every call (cache.Attribute clones)
+// and safe to retain.
+func (s *Store) processSnapshot(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch, wantMap bool) (outcome, *wmap.Map) {
 	if s.HasSnapshot(id, at, ExtYAML) {
 		if !wantMap {
 			return outProcessed, nil // already processed in an earlier run

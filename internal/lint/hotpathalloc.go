@@ -8,9 +8,9 @@ import (
 // HotPathAlloc enforces the "//wm:hotpath" annotation contract: a
 // function so marked (or every function in a file whose header carries
 // the pragma) sits on a path the benchmarks guard — the SVG lexer, the
-// tsdb JSON encoder, the grid scan, readahead, rollup decode — and must
-// not re-introduce the allocation and syscall classes those paths were
-// rewritten to avoid:
+// tsdb JSON encoder, the grid scan, the ordered pool, rollup decode — and
+// must not re-introduce the allocation and syscall classes those paths
+// were rewritten to avoid:
 //
 //   - any call into package fmt (Sprintf and friends reflect over
 //     arguments and allocate; hot-path errors use typed errors or

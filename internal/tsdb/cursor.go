@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -25,13 +26,12 @@ import (
 // for allocation-free folds.
 //
 // A plain Cursor decodes blocks one at a time on the calling goroutine.
-// CursorContext and CursorParallel instead decode on the read-ahead
-// pipeline — a bounded worker pool keeps the next few blocks decoding
-// while the consumer folds the current one — and stop when the context is
-// cancelled. Both paths yield byte-identical snapshots in the same order.
-// Close releases the pipeline early; iterating to completion (Next
-// returning false) closes implicitly, so Close only matters for abandoned
-// iterations.
+// CursorContext and CursorParallel instead decode on an ordered worker pool
+// (internal/ordered) — the next few blocks decode while the consumer folds
+// the current one — and stop when the context is cancelled. Both paths
+// yield byte-identical snapshots in the same order. Close releases the
+// pool early; iterating to completion (Next returning false) closes
+// implicitly, so Close only matters for abandoned iterations.
 type Cursor struct {
 	r *Reader
 	// st is the committed state the cursor opened with. Pinning it here is
@@ -49,10 +49,9 @@ type Cursor struct {
 	scratch    *wmap.Map
 	err        error
 
-	// pipeline state; nil ctx means sequential mode
+	// pool state; nil ctx means sequential mode
 	ctx     context.Context
-	cancel  context.CancelFunc
-	out     <-chan fetchResult
+	pool    *ordered.Iter[*decodedBlock]
 	workers int
 	done    bool
 }
@@ -71,21 +70,19 @@ func (r *Reader) Cursor(id wmap.MapID, from, to time.Time) *Cursor {
 	}
 }
 
-// CursorContext positions a cursor that decodes blocks on the read-ahead
-// pipeline with one worker per core and stops when ctx is cancelled
+// CursorContext positions a cursor that decodes blocks on the ordered
+// worker pool with one worker per core and stops when ctx is cancelled
 // (Err() then returns ctx.Err()).
 func (r *Reader) CursorContext(ctx context.Context, id wmap.MapID, from, to time.Time) *Cursor {
-	return r.CursorParallel(ctx, id, from, to, defaultReadAheadWorkers())
+	return r.CursorParallel(ctx, id, from, to, 0)
 }
 
 // CursorParallel is CursorContext with an explicit decode worker count;
-// workers <= 1 still runs the pipeline (one decoder overlapping the
-// consumer) unless the range spans a single block, which decodes inline.
+// workers <= 0 means one per core, and workers == 1 still overlaps one
+// decoder with the consumer. A range spanning a single block decodes
+// inline.
 func (r *Reader) CursorParallel(ctx context.Context, id wmap.MapID, from, to time.Time, workers int) *Cursor {
 	c := r.Cursor(id, from, to)
-	if workers < 1 {
-		workers = 1
-	}
 	if len(c.ids) > 1 {
 		c.ctx = ctx
 		c.workers = workers
@@ -93,28 +90,21 @@ func (r *Reader) CursorParallel(ctx context.Context, id wmap.MapID, from, to tim
 	return c
 }
 
-// nextBlock produces the next decoded block, from the pipeline in parallel
+// nextBlock produces the next decoded block, from the pool in parallel
 // mode or inline otherwise. ok is false at the end of the range or on
 // error (recorded in c.err).
 func (c *Cursor) nextBlock() (ok bool) {
 	if c.ctx != nil {
-		if c.out == nil {
-			ctx, cancel := context.WithCancel(c.ctx)
-			c.cancel = cancel
-			c.out = c.r.startReadAhead(ctx, c.st, c.ids, func(int) int { return allColumns }, c.workers)
+		if c.pool == nil {
+			c.pool = ordered.Start(c.ctx, len(c.ids), c.workers, func(_, i int) (*decodedBlock, error) {
+				return c.r.block(c.st, c.ids[i], allColumns)
+			})
 		}
-		res, open := <-c.out
-		if !open {
-			// Closed without a result: either the range is exhausted or the
-			// context was cancelled mid-stream.
-			c.err = c.ctx.Err()
+		if !c.pool.Next() {
+			c.err = c.pool.Err()
 			return false
 		}
-		if res.err != nil {
-			c.err = res.err
-			return false
-		}
-		c.db = res.v.(*decodedBlock)
+		c.db = c.pool.Value()
 		return true
 	}
 	if c.bi >= len(c.ids) {
@@ -159,15 +149,14 @@ func (c *Cursor) Next() bool {
 	}
 }
 
-// Close stops the cursor, cancelling the read-ahead pipeline so its
-// workers exit. Safe to call multiple times and after Next returned
-// false; required only when abandoning a parallel cursor mid-iteration.
+// Close stops the cursor and joins its worker pool. Safe to call multiple
+// times and after Next returned false; required only when abandoning a
+// parallel cursor mid-iteration.
 func (c *Cursor) Close() {
 	c.done = true
 	c.db = nil
-	if c.cancel != nil {
-		c.cancel()
-		c.cancel = nil
+	if c.pool != nil {
+		c.pool.Close()
 	}
 }
 

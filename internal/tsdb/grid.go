@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -25,7 +26,7 @@ import (
 //     decoded block fans its buckets into all the planned links it carries.
 //   - Raw leg: the raw blocks any link still needs (whole-range for links
 //     the planner declined, the unrolled tail past each plan's cut for the
-//     rest) are decoded ONCE through the read-ahead pipeline, and each
+//     rest) are decoded ONCE on the ordered worker pool, and each
 //     block's points fan into the per-link accumulators.
 //
 // A scan of many links decodes every column of a block (allColumns); a
@@ -249,33 +250,23 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 				break
 			}
 		}
-		rctx, cancel := context.WithCancel(ctx)
-		out := runReadAhead(rctx, len(rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
+		pool := ordered.Start(ctx, len(rids), 0, func(_, i int) (*decodedRollup, error) {
 			return r.rollup(st, rids[i], res.group(topoIdx, st.rollups[rids[i]].topoIndex))
 		})
-		err := func() error {
-			defer cancel()
-			i := 0
-			for rv := range out {
-				if rv.err != nil {
-					return rv.err
+		for pool.Next() {
+			ru, m := pool.Value(), &st.rollups[rids[pool.Index()]]
+			for _, gl := range links {
+				ci, ok := topoIdx[m.topoIndex][gl.key]
+				if !ok || m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut {
+					continue
 				}
-				ru := rv.v.(*decodedRollup)
-				m := &st.rollups[rids[i]]
-				i++
-				for _, gl := range links {
-					ci, ok := topoIdx[m.topoIndex][gl.key]
-					if !ok || m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut {
-						continue
-					}
-					if err := foldRollupWindows(ru, ci, &gl.lw, gl.plan.cut); err != nil {
-						return err
-					}
+				if err := foldRollupWindows(ru, ci, &gl.lw, gl.plan.cut); err != nil {
+					pool.Close()
+					return err
 				}
 			}
-			return ctx.Err()
-		}()
-		if err != nil {
+		}
+		if err := pool.Err(); err != nil {
 			return err
 		}
 	}
@@ -359,19 +350,12 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(i int) int {
-		return res.group(topoIdx, st.blocks[ids[i]].topoIndex)
-	}, defaultReadAheadWorkers())
-	i := 0
-	for rv := range out {
-		if rv.err != nil {
-			return rv.err
-		}
-		db := rv.v.(*decodedBlock)
-		meta := &st.blocks[ids[i]]
-		i++
+	pool := ordered.Start(ctx, len(ids), 0, func(_, i int) (*decodedBlock, error) {
+		return r.block(st, ids[i], res.group(topoIdx, st.blocks[ids[i]].topoIndex))
+	})
+	defer pool.Close()
+	for pool.Next() {
+		db, meta := pool.Value(), &st.blocks[ids[pool.Index()]]
 		idx := topoIdx[meta.topoIndex]
 		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
 		hi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > toU })
@@ -396,7 +380,7 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 			gl.accumulateRaw(db.times[start:hi], db.cols[2*ci][start:hi], db.cols[2*ci+1][start:hi], s)
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // accumulateRaw folds trimmed raw points into the link's windows. A
@@ -487,18 +471,13 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	r.grid.columnScans++
 	r.grid.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
+	pool := ordered.Start(ctx, len(ids), 0, func(_, i int) (*decodedBlock, error) {
+		return r.block(st, ids[i], allColumns)
+	})
+	defer pool.Close()
 	var c GridChunk
-	i := 0
-	for rv := range out {
-		if rv.err != nil {
-			return rv.err
-		}
-		db := rv.v.(*decodedBlock)
-		meta := &st.blocks[ids[i]]
-		i++
+	for pool.Next() {
+		db, meta := pool.Value(), &st.blocks[ids[pool.Index()]]
 		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
 		hi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > toU })
 		if lo >= hi {
@@ -518,7 +497,7 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 			return err
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // gridCounters tallies the grid engine's serving behavior.

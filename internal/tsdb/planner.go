@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -231,16 +232,11 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 		min, max           uint8
 	}
 	byStart := make(map[int64]*agg)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := runReadAhead(rctx, len(tier.entries), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
+	pool := ordered.Start(ctx, len(tier.entries), 0, func(_, i int) (*decodedRollup, error) {
 		return r.rollup(st, tier.entries[i], allColumns)
 	})
-	for resV := range out {
-		if resV.err != nil {
-			return nil, resV.err
-		}
-		ru := resV.v.(*decodedRollup)
+	for pool.Next() {
+		ru := pool.Value()
 		cols := 2 * ru.meta.links
 		for bi, start := range ru.starts {
 			if start < fromU || start > toU || start+sec > horizon {
@@ -264,7 +260,7 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := pool.Err(); err != nil {
 		return nil, err
 	}
 	bks := make([]RollupBucket, 0, len(byStart))

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
@@ -971,7 +972,7 @@ func (r *Reader) LinkSeries(id wmap.MapID, key LinkKey, from, to time.Time) (ab,
 }
 
 // LinkSeriesContext is LinkSeries with cancellation: block decodes run on
-// the read-ahead pipeline, and a cancelled ctx stops the scan between
+// the ordered worker pool, and a cancelled ctx stops the scan between
 // blocks with ctx.Err() — the API handler passes the request context so a
 // disconnected client stops burning decode work.
 func (r *Reader) LinkSeriesContext(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
@@ -1021,22 +1022,18 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 	return r.linkColumns(ctx, st, ids, groups, fromU, toU, fn)
 }
 
-// linkColumns runs the read-ahead pipeline over the resolved blocks and
+// linkColumns decodes the resolved blocks on the ordered worker pool and
 // feeds each block's trimmed columns to fn in order.
 func (r *Reader) linkColumns(ctx context.Context, st *readerState, ids, groups []int, fromU, toU int64, fn func(times []int64, ab, ba []wmap.Load) error) error {
 	if len(ids) == 0 {
 		return ctx.Err()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(i int) int { return groups[i] }, defaultReadAheadWorkers())
-	i := 0
-	for res := range out {
-		if res.err != nil {
-			return res.err
-		}
-		db, ci := res.v.(*decodedBlock), groups[i]
-		i++
+	pool := ordered.Start(ctx, len(ids), 0, func(_, i int) (*decodedBlock, error) {
+		return r.block(st, ids[i], groups[i])
+	})
+	defer pool.Close()
+	for pool.Next() {
+		db, ci := pool.Value(), groups[pool.Index()]
 		lo := sort.Search(len(db.times), func(i int) bool { return db.times[i] >= fromU })
 		hi := sort.Search(len(db.times), func(i int) bool { return db.times[i] > toU })
 		if lo < hi {
@@ -1045,7 +1042,7 @@ func (r *Reader) linkColumns(ctx context.Context, st *readerState, ids, groups [
 			}
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // rangePointCount is an upper bound on the map's snapshots in [from, to]:
