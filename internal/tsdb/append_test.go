@@ -544,3 +544,97 @@ func TestRefreshRejectsReplacedArchive(t *testing.T) {
 		t.Errorf("reader state disturbed by rejected refresh: %d snapshots", n)
 	}
 }
+
+// TestResumeOverCorruptCommittedBlock: damage deep in the committed prefix
+// (a flipped payload byte in a raw block that is not the tail block, so
+// OpenAppend's tail check passes) must not fail the resume. The replay that
+// rebuilds the write-side state then degrades exactly as documented: the
+// event detectors need every raw block, so any corrupt block stops event
+// frames for the resumed writer; the rollup accumulators only need blocks
+// past their flushed frontier, so rollups keep being written when the
+// damage lies before it and stop when it lies past it.
+func TestResumeOverCorruptCommittedBlock(t *testing.T) {
+	const committed, total = 250, 550
+	dir := t.TempDir()
+	path := filepath.Join(dir, "src.tsdb")
+	w, err := OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetBlockPoints(4)
+	// One tier, so the frontier is one well-defined time: the default 1d
+	// tier has flushed nothing this early and would force a full replay.
+	if err := w.SetRollupResolutions(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < committed; i++ {
+		if err := w.Append(evSeqMap(wmap.Europe, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	clean := captureFiles(t, path)
+	// The writer is abandoned: the captured files are the crash state.
+
+	rd, err := OpenFile(restoreFiles(t, dir, "probe.tsdb", clean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rd.st()
+	rd.Close()
+	frontier := int64(-1)
+	for i := range st.rollups {
+		frontier = max(frontier, st.rollups[i].lastPoint)
+	}
+	if frontier < 0 || len(st.events) == 0 {
+		t.Fatalf("fixture committed %d rollup and %d event frames; the test needs both", len(st.rollups), len(st.events))
+	}
+	bl := st.perMap[wmap.Europe]
+	before, past := bl[1], bl[len(bl)-2]
+	if st.blocks[before].lastUnix >= frontier || st.blocks[past].baseUnix <= frontier {
+		t.Fatalf("frontier %d does not separate block %d from block %d", frontier, before, past)
+	}
+
+	resume := func(name string, corrupt int) (rollups, evs int) {
+		t.Helper()
+		cs := fileState{data: append([]byte(nil), clean.data...), ckpt: clean.ckpt}
+		if corrupt >= 0 {
+			m := &st.blocks[corrupt]
+			cs.data[m.offset+4+int64(m.payloadLen)/2] ^= 0xFF
+		}
+		w, err := OpenAppend(restoreFiles(t, dir, name, cs))
+		if err != nil {
+			t.Fatalf("%s: OpenAppend: %v", name, err)
+		}
+		w.SetBlockPoints(4)
+		if err := w.SetRollupResolutions(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		at0 := w.Stats()
+		for i := committed; i < total; i++ {
+			if err := w.Append(evSeqMap(wmap.Europe, i)); err != nil {
+				t.Fatalf("%s: Append %d: %v", name, i, err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		at1 := w.Stats()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return at1.RollupBlocks - at0.RollupBlocks, at1.EventBlocks - at0.EventBlocks
+	}
+
+	if r, e := resume("clean.tsdb", -1); r == 0 || e == 0 {
+		t.Fatalf("clean resume wrote %d rollup and %d event frames; the stream must produce both", r, e)
+	}
+	if r, e := resume("before.tsdb", before); r == 0 || e != 0 {
+		t.Errorf("corrupt block before the rollup frontier: resume wrote %d rollup and %d event frames, want >0 and 0", r, e)
+	}
+	if r, e := resume("past.tsdb", past); r != 0 || e != 0 {
+		t.Errorf("corrupt block past the rollup frontier: resume wrote %d rollup and %d event frames, want 0 and 0", r, e)
+	}
+}

@@ -15,16 +15,17 @@ const DefaultBlockCacheBytes = 64 << 20
 // sees while wasting little budget granularity.
 const cacheShards = 16
 
-// cacheKey identifies one decoded-block variant: the owning archive (by
+// cacheKey identifies one decoded-frame variant: the owning archive (by
 // the reader's open-time fingerprint, so one cache may serve several
-// readers), the block kind (raw or rollup — each indexes its own footer
-// table), the block index, and the column group — allColumns for a fully
-// decoded block, otherwise the link index whose two directed columns were
-// decoded. The archive component deliberately does NOT roll with Refresh:
-// a live archive only ever appends, so block index bi keeps naming the same
-// immutable bytes as the archive grows, and entries decoded before a
-// refresh stay valid after it (Refresh rejects non-extensions with
-// ErrArchiveReplaced precisely to protect this invariant).
+// readers), the frame kind (raw block, rollup block or event frame — each
+// indexes its own footer table), the index row, and the column group —
+// allColumns for a fully decoded frame, otherwise the link index whose two
+// directed columns were decoded. The archive component deliberately does
+// NOT roll with Refresh: a live archive only ever appends, so row i keeps
+// naming the same immutable bytes as the archive grows, and entries
+// decoded before a refresh stay valid after it (Refresh rejects
+// non-extensions with ErrArchiveReplaced precisely to protect this
+// invariant).
 type cacheKey struct {
 	arch  uint64
 	kind  uint8
@@ -32,8 +33,8 @@ type cacheKey struct {
 	group int
 }
 
-// cacheKey.kind values: the raw block index and the rollup index are
-// separate footer tables, so the same block number names different bytes.
+// cacheKey.kind values: the block, rollup and event indexes are separate
+// footer tables, so the same row number names different bytes.
 const (
 	kindRaw    uint8 = 0
 	kindRollup uint8 = 1
@@ -43,8 +44,8 @@ const (
 // allColumns is the cacheKey.group value for a block decoded in full.
 const allColumns = -1
 
-// cacheValue is what the cache stores: an immutable decoded raw block or
-// rollup block that can report the heap bytes it pins.
+// cacheValue is what the cache stores: an immutable decoded raw block,
+// rollup block or event frame that can report the heap bytes it pins.
 type cacheValue interface {
 	cost() int64
 }
@@ -220,6 +221,42 @@ func (c *BlockCache) evictOver(from uint64) {
 		}
 		s.mu.Unlock()
 	}
+}
+
+// groupWant converts a cache column group to the decoders' column filter:
+// allColumns decodes everything, otherwise only the link's two directed
+// columns.
+func groupWant(group int) func(ci int) bool {
+	if group == allColumns {
+		return nil
+	}
+	return func(ci int) bool { return ci == 2*group || ci == 2*group+1 }
+}
+
+// cachedFrame returns row i of the kind's index with the given column
+// group decoded, through the reader's cache when one is attached; decode
+// reads the frame, with groupWant(group) as its column filter. For a
+// column-group request a fully decoded cached entry is probed first, so
+// single-link queries ride on frames a cursor already paid to decode.
+// Keys use the reader's stable cacheID: committed frames are immutable,
+// so an entry decoded before a Refresh stays correct after it.
+func cachedFrame[V cacheValue](r *Reader, kind uint8, i, group int, decode func() (V, error)) (V, error) {
+	if r.cache == nil {
+		return decode()
+	}
+	if group != allColumns {
+		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kind, block: i, group: allColumns}); ok {
+			return v.(V), nil
+		}
+	}
+	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kind, block: i, group: group}, func() (cacheValue, error) {
+		return decode()
+	})
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return v.(V), nil
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness, exposed

@@ -105,6 +105,28 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	return &checkpoint{dataEnd: int64(dataEnd), version: version, payload: payload}, nil
 }
 
+// openCommitted checks the data file against a commit record — it still
+// holds every committed byte and starts with the header magic — and parses
+// the committed footer payload. A tailing Reader and a recovering Writer
+// both open a live archive's committed state through it.
+func openCommitted(f *os.File, ck *checkpoint) (*footerData, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: %w", err)
+	}
+	if fi.Size() < ck.dataEnd {
+		return nil, corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
+	}
+	head, err := readAtFull(f, ck.dataEnd, 0, len(headerMagic))
+	if err != nil {
+		return nil, err
+	}
+	if string(head) != headerMagic {
+		return nil, corruptf(0, "bad header magic %q", head)
+	}
+	return parseFooterData(ck.payload, 0, ck.dataEnd)
+}
+
 // writeCheckpoint atomically replaces the commit record: the new record is
 // written to a temp file, fsynced, and renamed over the old one. The caller
 // must have already flushed and fsynced the data file up to dataEnd.

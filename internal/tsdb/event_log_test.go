@@ -3,7 +3,9 @@ package tsdb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -109,9 +111,6 @@ func TestEventDetectionDisabled(t *testing.T) {
 	}
 	if err := w.SetEventDetection(true, nil); err == nil {
 		t.Fatal("SetEventDetection accepted after the first append")
-	}
-	if err := w.SetEventConfig(events.DefaultConfig()); err == nil {
-		t.Fatal("SetEventConfig accepted after the first append")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -386,27 +385,87 @@ func TestEventFrameCached(t *testing.T) {
 	}
 }
 
-// TestV2ArchiveStillOpens: an archive whose footer carries only the rollup
-// suffix (the pre-event format) opens and serves, reporting no events.
-func TestV2ArchiveStillOpens(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.SetEventDetection(false, nil); err != nil {
+// resealFooter rewrites a closed archive's footer in an older format: v1
+// stops at the block index, v2 carries version 2 and the rollup index but
+// no event index. Blocks and frames stay where they are; older writers
+// simply never indexed the frames the newer footer points at.
+func resealFooter(t *testing.T, data []byte, version int) []byte {
+	t.Helper()
+	footer, footerStart, err := readClosedFooter(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range eventMaps() {
-		if err := w.Append(m); err != nil {
-			t.Fatal(err)
+	fd, err := parseFooterData(footer, footerStart, footerStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(nil)
+	w.restore(fd)
+	w.evIndex = nil
+	rollups := w.rollups
+	w.rollups = nil
+	// With both suffix indexes empty the footer ends in the three bytes
+	// uvarint(3), uvarint(0), uvarint(0); cutting them leaves the v1 form.
+	v1 := w.encodeFooter()
+	if !bytes.Equal(v1[len(v1)-3:], []byte{footerVersionEvents, 0, 0}) {
+		t.Fatalf("unexpected footer suffix % x", v1[len(v1)-3:])
+	}
+	out := v1[:len(v1)-3]
+	if version == footerVersionRollups {
+		// The v3 footer with only a rollup index is the v2 footer with
+		// version 3 in place of 2 and a trailing zero event count.
+		w.rollups = rollups
+		v3 := w.encodeFooter()
+		v3[len(out)] = footerVersionRollups
+		out = v3[:len(v3)-1]
+	}
+	sealed := append([]byte(nil), data[:footerStart]...)
+	sealed = append(sealed, out...)
+	sealed = binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(out))
+	sealed = binary.LittleEndian.AppendUint64(sealed, uint64(len(out)))
+	return append(sealed, tailMagic...)
+}
+
+// TestV2ArchiveStillOpens: archives whose footer predates the event index
+// (v2: rollup index only) or the rollup index too (v1: block index only)
+// open and serve the same raw loads as the current footer over the same
+// data section, report no events, and — for v1 — no rollup tier.
+func TestV2ArchiveStillOpens(t *testing.T) {
+	var maps []*wmap.Map
+	for i := 0; i < 40; i++ {
+		maps = append(maps, seqMap(wmap.Europe, i))
+		if i%3 == 0 {
+			maps = append(maps, seqMap(wmap.World, i))
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	data := buildArchive(t, 8, maps...)
+	cur := openArchive(t, data)
+	if cur.Stats().RollupBlocks == 0 || cur.EventFrames() == 0 {
+		t.Fatalf("fixture has %+v; the test needs rollup and event frames", cur.Stats())
 	}
-	rd := openArchive(t, buf.Bytes())
-	if rd.EventFrames() != 0 {
-		t.Fatal("event frames in a detection-disabled archive")
-	}
-	if n := rd.Snapshots(wmap.Europe); n != 3 {
-		t.Fatalf("snapshots = %d", n)
+	ctx := context.Background()
+	for _, version := range []int{1, footerVersionRollups} {
+		rd := openArchive(t, resealFooter(t, data, version))
+		for _, id := range cur.Maps() {
+			want := collectCursor(t, cur.Cursor(id, time.Time{}, time.Time{}))
+			got := collectCursor(t, rd.Cursor(id, time.Time{}, time.Time{}))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("v%d %s: raw snapshots differ from the v3 footer's", version, id)
+			}
+		}
+		if n := rd.EventFrames(); n != 0 {
+			t.Fatalf("v%d: %d event frames", version, n)
+		}
+		if evs, err := rd.Events(ctx, EventFilter{}); err != nil || len(evs) != 0 {
+			t.Fatalf("v%d: Events = %v, %v", version, evs, err)
+		}
+		_, err := rd.RollupTotals(ctx, wmap.Europe, time.Hour, time.Time{}, time.Time{})
+		if version == 1 {
+			if !errors.Is(err, ErrNoRollup) || rd.Stats().RollupBlocks != 0 {
+				t.Fatalf("v1: RollupTotals err = %v, %d rollup blocks; want ErrNoRollup and none", err, rd.Stats().RollupBlocks)
+			}
+		} else if err != nil || rd.Stats().RollupBlocks != cur.Stats().RollupBlocks {
+			t.Fatalf("v2: RollupTotals err = %v, %d rollup blocks; want the v3 footer's %d", err, rd.Stats().RollupBlocks, cur.Stats().RollupBlocks)
+		}
 	}
 }

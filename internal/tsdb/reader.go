@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,23 +160,9 @@ func (r *Reader) loadFileState() (*readerState, error) {
 	ck, err := readCheckpoint(CheckpointPath(r.path))
 	switch {
 	case err == nil:
-		fi, serr := r.f.Stat()
-		if serr != nil {
-			return nil, fmt.Errorf("tsdb: %w", serr)
-		}
-		if fi.Size() < ck.dataEnd {
-			return nil, corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
-		}
-		head, herr := readAtFull(r.r, ck.dataEnd, 0, len(headerMagic))
-		if herr != nil {
-			return nil, herr
-		}
-		if string(head) != headerMagic {
-			return nil, corruptf(0, "bad header magic %q", head)
-		}
-		fd, perr := parseFooterData(ck.payload, 0, ck.dataEnd)
-		if perr != nil {
-			return nil, perr
+		fd, err := openCommitted(r.f, ck)
+		if err != nil {
+			return nil, err
 		}
 		return buildState(fd, ck.dataEnd, fingerprintState(ck.dataEnd, ck.payload), ck.version, true)
 	case errors.Is(err, fs.ErrNotExist):
@@ -214,28 +201,17 @@ func (r *Reader) Refresh() (changed bool, err error) {
 	if ns.fp == cur.fp {
 		return false, nil
 	}
-	if len(ns.blocks) < len(cur.blocks) || len(ns.strs) < len(cur.strs) ||
-		len(ns.topos) < len(cur.topos) || len(ns.rollups) < len(cur.rollups) ||
-		len(ns.events) < len(cur.events) {
+	if len(ns.strs) < len(cur.strs) || len(ns.topos) < len(cur.topos) ||
+		!extends(ns.blocks, cur.blocks) || !extends(ns.rollups, cur.rollups) || !extends(ns.events, cur.events) {
 		return false, ErrArchiveReplaced
-	}
-	for i := range cur.blocks {
-		if ns.blocks[i] != cur.blocks[i] {
-			return false, ErrArchiveReplaced
-		}
-	}
-	for i := range cur.rollups {
-		if ns.rollups[i] != cur.rollups[i] {
-			return false, ErrArchiveReplaced
-		}
-	}
-	for i := range cur.events {
-		if ns.events[i] != cur.events[i] {
-			return false, ErrArchiveReplaced
-		}
 	}
 	r.state.Store(ns)
 	return true, nil
+}
+
+// extends reports whether the index rows next begin with every row of cur.
+func extends[M comparable](next, cur []M) bool {
+	return len(next) >= len(cur) && slices.Equal(next[:len(cur)], cur)
 }
 
 // Close releases the underlying file when the reader owns one.
@@ -361,17 +337,11 @@ func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, er
 		prev = t
 	}
 
-	nblk, err := d.count("block index")
+	fd.blocks, err = parseRows(d, "block index", 8, func(raw []uint64) (blockMeta, error) {
+		return fd.blockRow(d, raw, dataEnd)
+	})
 	if err != nil {
 		return nil, err
-	}
-	fd.blocks = make([]blockMeta, 0, nblk)
-	for i := 0; i < nblk; i++ {
-		m, err := fd.parseBlockMeta(d, dataEnd)
-		if err != nil {
-			return nil, err
-		}
-		fd.blocks = append(fd.blocks, m)
 	}
 
 	// A payload that ends here is the v1 (PR 3–6) format: no rollup index,
@@ -385,30 +355,18 @@ func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, er
 		if ver != footerVersionRollups && ver != footerVersionEvents {
 			return nil, corruptf(d.abs(), "unsupported footer version %d", ver)
 		}
-		nroll, err := d.count("rollup index")
+		fd.rollups, err = parseRows(d, "rollup index", 10, func(raw []uint64) (rollupMeta, error) {
+			return fd.rollupRow(d, raw, dataEnd)
+		})
 		if err != nil {
 			return nil, err
 		}
-		fd.rollups = make([]rollupMeta, 0, nroll)
-		for i := 0; i < nroll; i++ {
-			m, err := fd.parseRollupMeta(d, dataEnd)
-			if err != nil {
-				return nil, err
-			}
-			fd.rollups = append(fd.rollups, m)
-		}
 		if ver >= footerVersionEvents {
-			nev, err := d.count("event index")
+			fd.events, err = parseRows(d, "event index", 7, func(raw []uint64) (eventMeta, error) {
+				return fd.eventRow(d, raw, dataEnd)
+			})
 			if err != nil {
 				return nil, err
-			}
-			fd.events = make([]eventMeta, 0, nev)
-			for i := 0; i < nev; i++ {
-				m, err := fd.parseEventMeta(d, dataEnd)
-				if err != nil {
-					return nil, err
-				}
-				fd.events = append(fd.events, m)
 			}
 		}
 	}
@@ -574,39 +532,74 @@ func (fd *footerData) parseTopology(d *dec, prev *topology) (*topology, error) {
 	return t, nil
 }
 
-func (fd *footerData) parseBlockMeta(d *dec, dataEnd int64) (blockMeta, error) {
-	var m blockMeta
-	var raw [8]uint64
-	for i := range raw {
-		v, err := d.uvarint("block index field")
-		if err != nil {
-			return m, err
-		}
-		raw[i] = v
+// parseRows decodes one footer index: a row count, then that many rows of
+// width uvarints each (appendRow's layout), each handed to row to build
+// and validate.
+func parseRows[M any](d *dec, what string, width int, row func(raw []uint64) (M, error)) ([]M, error) {
+	n, err := d.count(what)
+	if err != nil {
+		return nil, err
 	}
-	m.mapRef = raw[0]
-	m.offset = int64(raw[1])
-	m.payloadLen = int(raw[2])
-	m.topoIndex = int(raw[3])
-	m.baseUnix = int64(raw[4])
-	m.lastUnix = int64(raw[5])
-	m.points = int(raw[6])
-	m.links = int(raw[7])
+	out := make([]M, 0, n)
+	raw := make([]uint64, width)
+	for i := 0; i < n; i++ {
+		for j := range raw {
+			if raw[j], err = d.uvarint(what); err != nil {
+				return nil, err
+			}
+		}
+		m, err := row(raw)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
+
+// frameRow builds an index row's frame header and checks it: the map ref
+// inside the string table, the frame inside the data section.
+func (fd *footerData) frameRow(d *dec, what string, mapRef, offset, payloadLen uint64, dataEnd int64) (frameHeader, error) {
+	h := frameHeader{mapRef: mapRef, offset: int64(offset), payloadLen: int(payloadLen)}
 	switch {
-	case m.mapRef >= uint64(len(fd.strs)):
-		return m, corruptf(d.abs(), "block map ref %d outside string table of %d", m.mapRef, len(fd.strs))
-	case raw[3] >= uint64(len(fd.topos)):
-		return m, corruptf(d.abs(), "block topology index %d outside table of %d", raw[3], len(fd.topos))
-	case m.links != len(fd.topos[m.topoIndex].links):
-		return m, corruptf(d.abs(), "block link count %d disagrees with topology's %d",
-			m.links, len(fd.topos[m.topoIndex].links))
+	case mapRef >= uint64(len(fd.strs)):
+		return h, corruptf(d.abs(), "%s map ref %d outside string table of %d", what, mapRef, len(fd.strs))
+	case h.offset < int64(len(headerMagic)) || payloadLen > math.MaxInt32 ||
+		h.offset+int64(frameOverhead)+int64(h.payloadLen) > dataEnd:
+		return h, corruptf(d.abs(), "%s frame [%d, +%d] outside data section", what, h.offset, h.payloadLen)
+	}
+	return h, nil
+}
+
+// topoRow checks an index row's topology index and link count against the
+// dictionary.
+func (fd *footerData) topoRow(d *dec, what string, topoIndex, links uint64) error {
+	switch {
+	case topoIndex >= uint64(len(fd.topos)):
+		return corruptf(d.abs(), "%s topology index %d outside table of %d", what, topoIndex, len(fd.topos))
+	case links != uint64(len(fd.topos[topoIndex].links)):
+		return corruptf(d.abs(), "%s link count %d disagrees with topology's %d", what, links, len(fd.topos[topoIndex].links))
+	}
+	return nil
+}
+
+// blockRow builds and validates one block-index row (field order: mapRef,
+// offset, payloadLen, topoIndex, baseUnix, lastUnix, points, links).
+func (fd *footerData) blockRow(d *dec, raw []uint64, dataEnd int64) (blockMeta, error) {
+	h, err := fd.frameRow(d, "block", raw[0], raw[1], raw[2], dataEnd)
+	if err == nil {
+		err = fd.topoRow(d, "block", raw[3], raw[7])
+	}
+	if err != nil {
+		return blockMeta{}, err
+	}
+	m := blockMeta{frameHeader: h, topoIndex: int(raw[3]), baseUnix: int64(raw[4]), lastUnix: int64(raw[5]),
+		points: int(raw[6]), links: int(raw[7])}
+	switch {
 	case m.points < 1:
 		return m, corruptf(d.abs(), "block with %d points", m.points)
 	case raw[4] > maxUnixSeconds || m.lastUnix < m.baseUnix:
 		return m, corruptf(d.abs(), "block time range [%d, %d] invalid", m.baseUnix, m.lastUnix)
-	case m.offset < int64(len(headerMagic)) || raw[2] > math.MaxInt32 ||
-		m.offset+int64(frameOverhead)+int64(m.payloadLen) > dataEnd:
-		return m, corruptf(d.abs(), "block frame [%d, +%d] outside data section", m.offset, m.payloadLen)
 	}
 	return m, nil
 }
@@ -683,7 +676,7 @@ func (r *Reader) SetBlockCache(c *BlockCache) { r.cache = c }
 func (r *Reader) BlockCache() *BlockCache { return r.cache }
 
 // decodedBlock is one block's columns in memory; unneeded columns stay nil.
-// Once returned by decodeBlock a decodedBlock is immutable: instances are
+// Once returned by decodeBlockAt a decodedBlock is immutable: instances are
 // shared by the block cache across concurrent queries, and materialize
 // clones everything it hands to callers.
 type decodedBlock struct {
@@ -692,96 +685,76 @@ type decodedBlock struct {
 	cols  [][]wmap.Load
 }
 
-// groupWant converts a cache column group to decodeBlock's column filter:
-// allColumns decodes everything, otherwise only the link's two directed
-// columns.
-func groupWant(group int) func(ci int) bool {
-	if group == allColumns {
-		return nil
-	}
-	return func(ci int) bool { return ci == 2*group || ci == 2*group+1 }
-}
-
-// block returns block bi of st with the given column group decoded,
-// through the cache when one is attached. A fully decoded cached block
-// satisfies any group request, so single-link queries ride on blocks a
-// cursor already paid to decode. Cache keys use the reader's stable
-// cacheID: committed blocks are immutable, so an entry decoded before a
-// Refresh stays correct after it.
+// block returns block bi of st with the given column group decoded, via
+// cachedFrame (see blockcache.go).
 func (r *Reader) block(st *readerState, bi, group int) (*decodedBlock, error) {
-	if r.cache == nil {
-		return r.decodeBlock(st, bi, groupWant(group))
-	}
-	if group != allColumns {
-		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kindRaw, block: bi, group: allColumns}); ok {
-			return v.(*decodedBlock), nil
-		}
-	}
-	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kindRaw, block: bi, group: group}, func() (cacheValue, error) {
-		return r.decodeBlock(st, bi, groupWant(group))
+	return cachedFrame(r, kindRaw, bi, group, func() (*decodedBlock, error) {
+		return decodeBlockAt(r.r, st.size, &st.blocks[bi], groupWant(group))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*decodedBlock), nil
 }
 
-// rollup returns rollup block ri of st with the given column group decoded,
-// through the cache when one is attached — the same probe-then-load dance
-// as block, under kindRollup keys.
+// rollup returns rollup block ri of st with the given column group
+// decoded, via cachedFrame under kindRollup keys.
 func (r *Reader) rollup(st *readerState, ri, group int) (*decodedRollup, error) {
-	if r.cache == nil {
-		return decodeRollupAt(r.r, st.size, &st.rollups[ri], groupWant(group))
-	}
-	if group != allColumns {
-		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kindRollup, block: ri, group: allColumns}); ok {
-			return v.(*decodedRollup), nil
-		}
-	}
-	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kindRollup, block: ri, group: group}, func() (cacheValue, error) {
+	return cachedFrame(r, kindRollup, ri, group, func() (*decodedRollup, error) {
 		return decodeRollupAt(r.r, st.size, &st.rollups[ri], groupWant(group))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*decodedRollup), nil
 }
 
-// decodeBlock reads and decodes one block. want selects load columns by
-// column index (nil means all); unselected columns are skipped without
-// decoding — the columnar payoff for single-link queries.
-func (r *Reader) decodeBlock(st *readerState, bi int, want func(ci int) bool) (*decodedBlock, error) {
-	return decodeBlockAt(r.r, st.size, &st.blocks[bi], want)
+// readFrame reads the data frame h locates below size — the writeFrame
+// layout: u32le payloadLen, payload, u32le CRC32(payload) — checks the
+// length prefix against the index row and the checksum against the
+// payload, and returns a decoder over the payload. what names the frame
+// kind in errors.
+func readFrame(r io.ReaderAt, size int64, h *frameHeader, what string) (dec, error) {
+	frame, err := readAtFull(r, size, h.offset, frameOverhead+h.payloadLen)
+	if err != nil {
+		return dec{}, err
+	}
+	if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != h.payloadLen {
+		return dec{}, corruptf(h.offset, "%s length prefix %d disagrees with index's %d", what, got, h.payloadLen)
+	}
+	payload := frame[4 : 4+h.payloadLen]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4+h.payloadLen:]) {
+		return dec{}, corruptf(h.offset, "%s checksum mismatch", what)
+	}
+	return dec{b: payload, off: h.offset + 4}, nil
 }
 
-// decodeBlockAt is decodeBlock against any readable source: the writer's
-// rollup rebuild replays raw blocks through it without opening a Reader.
-func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
-	frame, err := readAtFull(r, size, meta.offset, frameOverhead+meta.payloadLen)
-	if err != nil {
-		return nil, err
-	}
-	if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != meta.payloadLen {
-		return nil, corruptf(meta.offset, "block length prefix %d disagrees with index's %d", got, meta.payloadLen)
-	}
-	payload := frame[4 : 4+meta.payloadLen]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(frame[4+meta.payloadLen:]) {
-		return nil, corruptf(meta.offset, "block checksum mismatch")
-	}
-	d := &dec{b: payload, off: meta.offset + 4}
-
-	var hdr [5]uint64
-	names := [5]string{"map ref", "topology index", "base time", "point count", "link count"}
-	for i := range hdr {
-		v, err := d.uvarint(names[i])
+// checkHeader reads a payload's leading uvarints — the map ref, then the
+// kind's own header fields — and checks them against the index row.
+func (d *dec) checkHeader(h *frameHeader, what string, fields ...uint64) error {
+	bad := false
+	for i := -1; i < len(fields); i++ {
+		v, err := d.uvarint("frame header")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		hdr[i] = v
+		want := h.mapRef
+		if i >= 0 {
+			want = fields[i]
+		}
+		bad = bad || v != want
 	}
-	if hdr[0] != meta.mapRef || hdr[1] != uint64(meta.topoIndex) || hdr[2] != uint64(meta.baseUnix) ||
-		hdr[3] != uint64(meta.points) || hdr[4] != uint64(meta.links) {
-		return nil, corruptf(meta.offset+4, "block header disagrees with footer index")
+	if bad {
+		return corruptf(h.offset+4, "%s header disagrees with footer index", what)
+	}
+	return nil
+}
+
+// decodeBlockAt reads and decodes one raw block from any readable source:
+// the reader's cache path and the writer's resume replay both use it. want
+// selects load columns by column index (nil means all); unselected columns
+// are skipped without decoding — the columnar payoff for single-link
+// queries.
+func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
+	d, err := readFrame(r, size, &meta.frameHeader, "block")
+	if err != nil {
+		return nil, err
+	}
+	if err := d.checkHeader(&meta.frameHeader, "block", uint64(meta.topoIndex), uint64(meta.baseUnix),
+		uint64(meta.points), uint64(meta.links)); err != nil {
+		return nil, err
 	}
 	n, L := meta.points, meta.links
 

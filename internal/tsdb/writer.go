@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"log"
 	"math"
 	"os"
 	"sort"
@@ -23,17 +24,24 @@ import (
 // references exactly one dictionary entry.
 const DefaultBlockPoints = 512
 
+// frameHeader locates one data frame — raw block, rollup block or event
+// frame — and names its map. Every footer-index row embeds one; see
+// writeFrame and readFrame for the framing it describes.
+type frameHeader struct {
+	mapRef     uint64 // string-table id of the map id
+	offset     int64  // file offset of the frame's length prefix
+	payloadLen int
+}
+
 // blockMeta is one footer-index row: everything a reader needs to decide
 // whether a block overlaps a query and to fetch it, without decoding it.
 type blockMeta struct {
-	mapRef     uint64 // string-table id of the map id
-	offset     int64  // file offset of the block's length prefix
-	payloadLen int
-	topoIndex  int
-	baseUnix   int64 // first snapshot time, unix seconds
-	lastUnix   int64 // last snapshot time, unix seconds
-	points     int
-	links      int
+	frameHeader
+	topoIndex int
+	baseUnix  int64 // first snapshot time, unix seconds
+	lastUnix  int64 // last snapshot time, unix seconds
+	points    int
+	links     int
 }
 
 // openBlock accumulates one map's current window before encoding.
@@ -118,21 +126,20 @@ type Writer struct {
 	colEnds        []int
 	payloadScratch []byte
 
-	// Rollup tier state; see rollup.go. rollupReady flips at the first
-	// append/sync/close, after which the resolutions are frozen and (on a
-	// resumed archive) the accumulators have been rebuilt from raw blocks.
-	rollupRes   []int64 // tier resolutions in seconds, ascending
-	rollupReady bool
-	rollups     []rollupMeta
-	accs        map[wmap.MapID][]*rollupAcc
+	// resumed flips at the first append/sync/close (ensureResumed): the
+	// rollup resolutions and event options are frozen from then on, and on
+	// a resumed archive the rollup accumulators and event detectors have
+	// been rebuilt by one replay of the committed raw blocks.
+	resumed bool
 
-	// Event-log state; see event_log.go. evReady flips with the same
-	// discipline as rollupReady, after which enablement, config, and (on a
-	// resumed archive) the rebuilt detector state are frozen.
+	// Rollup tier state; see rollup.go.
+	rollupRes []int64 // tier resolutions in seconds, ascending
+	rollups   []rollupMeta
+	accs      map[wmap.MapID][]*rollupAcc
+
+	// Event-log state; see event_log.go.
 	evEnabled bool
-	evCfg     events.Config
 	evDB      *peeringdb.DB
-	evReady   bool
 	detectors map[wmap.MapID]*events.Detector
 	evPending map[wmap.MapID][]events.Event
 	evIndex   []eventMeta
@@ -156,7 +163,6 @@ func NewWriter(w io.Writer) *Writer {
 		rollupRes:   res,
 		accs:        make(map[wmap.MapID][]*rollupAcc),
 		evEnabled:   true,
-		evCfg:       events.DefaultConfig(),
 		detectors:   make(map[wmap.MapID]*events.Detector),
 		evPending:   make(map[wmap.MapID][]events.Event),
 	}
@@ -264,21 +270,7 @@ func (w *Writer) recover() error {
 // recoverCheckpoint resumes from a live commit record: verify the
 // committed prefix is intact, truncate the uncommitted tail, rebuild state.
 func (w *Writer) recoverCheckpoint(ck *checkpoint) error {
-	fi, err := w.f.Stat()
-	if err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if fi.Size() < ck.dataEnd {
-		return corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
-	}
-	head, err := readAtFull(w.f, ck.dataEnd, 0, len(headerMagic))
-	if err != nil {
-		return err
-	}
-	if string(head) != headerMagic {
-		return corruptf(0, "bad header magic %q", head)
-	}
-	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	fd, err := openCommitted(w.f, ck)
 	if err != nil {
 		return err
 	}
@@ -299,9 +291,9 @@ func (w *Writer) recoverCheckpoint(ck *checkpoint) error {
 // rollup block, or event frame — must end exactly at the committed offset.
 // The last raw block and every rollup/event frame past it (a flush event
 // writes its rollup fragments and event frame right after the raw block)
-// are re-verified against their checksums, so a torn write anywhere in the
-// committed tail surfaces here as a *CorruptError. Damage deeper in the
-// committed prefix is still caught by per-block CRCs at read time.
+// are re-read through readFrame, so a torn write anywhere in the committed
+// tail surfaces here as a *CorruptError. Damage deeper in the committed
+// prefix is still caught by per-frame CRCs at read time.
 func verifyTailBlock(r io.ReaderAt, fd *footerData, dataEnd int64) error {
 	if len(fd.blocks) == 0 {
 		if len(fd.rollups) != 0 || len(fd.events) != 0 {
@@ -312,60 +304,36 @@ func verifyTailBlock(r io.ReaderAt, fd *footerData, dataEnd int64) error {
 		}
 		return nil
 	}
-	last := &fd.blocks[0]
+	last := &fd.blocks[0].frameHeader
 	for i := range fd.blocks[1:] {
-		if fd.blocks[1+i].offset > last.offset {
-			last = &fd.blocks[1+i]
+		if h := &fd.blocks[1+i].frameHeader; h.offset > last.offset {
+			last = h
 		}
 	}
-	end := last.offset + frameOverhead + int64(last.payloadLen)
-	// Rollup and event frames written after the last raw block extend the
-	// tail; each must be contiguous with and checked like the block before it.
-	type tailFrame struct {
-		offset     int64
-		payloadLen int
-		what       string
-	}
-	var tail []tailFrame
+	tail := []*frameHeader{last}
 	for i := range fd.rollups {
-		if m := &fd.rollups[i]; m.offset > last.offset {
-			tail = append(tail, tailFrame{m.offset, m.payloadLen, "rollup block"})
+		if h := &fd.rollups[i].frameHeader; h.offset > last.offset {
+			tail = append(tail, h)
 		}
 	}
 	for i := range fd.events {
-		if m := &fd.events[i]; m.offset > last.offset {
-			tail = append(tail, tailFrame{m.offset, m.payloadLen, "event frame"})
+		if h := &fd.events[i].frameHeader; h.offset > last.offset {
+			tail = append(tail, h)
 		}
 	}
 	sort.Slice(tail, func(a, b int) bool { return tail[a].offset < tail[b].offset })
-	for _, m := range tail {
-		if m.offset != end {
-			return corruptf(m.offset, "%s at %d not contiguous with committed tail at %d", m.what, m.offset, end)
+	end := last.offset
+	for _, h := range tail {
+		if h.offset != end {
+			return corruptf(h.offset, "frame at %d not contiguous with committed tail at %d", h.offset, end)
 		}
-		end = m.offset + frameOverhead + int64(m.payloadLen)
+		end = h.offset + frameOverhead + int64(h.payloadLen)
 	}
 	if end != dataEnd {
 		return corruptf(dataEnd, "last committed frame ends at %d, checkpoint commits %d", end, dataEnd)
 	}
-	verify := func(offset int64, payloadLen int, what string) error {
-		frame, err := readAtFull(r, dataEnd, offset, frameOverhead+payloadLen)
-		if err != nil {
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != payloadLen {
-			return corruptf(offset, "%s length prefix %d disagrees with index's %d", what, got, payloadLen)
-		}
-		payload := frame[4 : 4+payloadLen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4+payloadLen:]) {
-			return corruptf(offset, "committed %s checksum mismatch", what)
-		}
-		return nil
-	}
-	if err := verify(last.offset, last.payloadLen, "block"); err != nil {
-		return err
-	}
-	for _, m := range tail {
-		if err := verify(m.offset, m.payloadLen, m.what); err != nil {
+	for _, h := range tail {
+		if _, err := readFrame(r, dataEnd, h, "committed frame"); err != nil {
 			return err
 		}
 	}
@@ -395,6 +363,146 @@ func (w *Writer) restore(fd *footerData) {
 		}
 		w.snapshots += m.points
 	}
+}
+
+// ensureResumed runs once, at the first append, sync or close — late
+// enough that SetRollupResolutions and SetEventDetection still apply after
+// OpenAppend, which freezes them from then on. On a resumed archive it
+// rebuilds what a commit does not store, the open rollup buckets and the
+// event detectors' history, by one replay of the committed raw blocks.
+func (w *Writer) ensureResumed() error {
+	if w.resumed {
+		return nil
+	}
+	w.resumed = true
+	if len(w.index) == 0 || w.f == nil {
+		return nil
+	}
+	return w.replay()
+}
+
+// replay decodes each committed raw block at most once, in flush order
+// (chronological per map), and feeds its points to two consumers:
+//
+//   - the rollup accumulators, with the points newer than each (map,
+//     resolution) tier's frontier: the newest point any flushed rollup
+//     block of that tier covers. A block at or before every tier's
+//     frontier is not decoded for them. Topology changes crossed here
+//     (possible when migrating a v1 archive) retire runs into the done
+//     queue, which flushes at the first flush event.
+//   - the event detectors, with every point, because detector state
+//     (hysteresis sets, debounce pendings, upgrade trackers) depends on
+//     the whole history. Emissions after the map's event frontier (the
+//     newest lastPoint of its flushed frames) are pended again.
+//
+// At every commit the flushed frames cover exactly the points and
+// emissions up to the frontiers, so the rebuilt state equals the crashed
+// writer's and the resumed byte stream matches a writer that never
+// stopped. A corrupt block disables, for this writer, each consumer that
+// needed it (logged) instead of failing the resume: recovery guarantees
+// only the committed tail, and deeper damage surfaces when read.
+func (w *Writer) replay() error {
+	rollFront := make(map[wmap.MapID]map[int64]int64)
+	for i := range w.rollups {
+		m := &w.rollups[i]
+		id := wmap.MapID(w.strs[m.mapRef])
+		byRes := rollFront[id]
+		if byRes == nil {
+			byRes = make(map[int64]int64)
+			rollFront[id] = byRes
+		}
+		if m.lastPoint > byRes[m.res] {
+			byRes[m.res] = m.lastPoint
+		}
+	}
+	evFront := make(map[wmap.MapID]int64)
+	for i := range w.evIndex {
+		m := &w.evIndex[i]
+		id := wmap.MapID(w.strs[m.mapRef])
+		if cur, ok := evFront[id]; !ok || m.lastPoint > cur {
+			evFront[id] = m.lastPoint
+		}
+	}
+	for i := range w.index {
+		bm := &w.index[i]
+		id := wmap.MapID(w.strs[bm.mapRef])
+		var accs []*rollupAcc
+		if w.rollupEnabled() {
+			accs = w.rollupAccs(id)
+		}
+		minS := int64(math.MaxInt64)
+		for _, acc := range accs {
+			s, ok := rollFront[id][acc.res]
+			if !ok {
+				s = -1
+			}
+			minS = min(minS, s)
+		}
+		if bm.lastUnix <= minS {
+			accs = nil
+		}
+		if len(accs) == 0 && !w.evEnabled {
+			continue
+		}
+		db, err := decodeBlockAt(w.f, w.off, bm, nil)
+		var ce *CorruptError
+		switch {
+		case errors.As(err, &ce):
+			if len(accs) > 0 {
+				log.Printf("tsdb: resume: cannot rebuild rollup state, disabling rollups for this writer: %v", err)
+				w.rollupRes, w.accs = nil, make(map[wmap.MapID][]*rollupAcc)
+			}
+			if w.evEnabled {
+				log.Printf("tsdb: resume: cannot rebuild event state, disabling event detection for this writer: %v", err)
+				w.evEnabled = false
+				w.detectors = make(map[wmap.MapID]*events.Detector)
+				w.evPending = make(map[wmap.MapID][]events.Event)
+			}
+			continue
+		case err != nil:
+			return err
+		}
+		cols := 2 * bm.links
+		topo := w.topos[bm.topoIndex]
+		var det *events.Detector
+		if w.evEnabled {
+			det = w.detector(id)
+		}
+		evFr, ok := evFront[id]
+		if !ok {
+			evFr = -1
+		}
+		for pi, t := range db.times {
+			for _, acc := range accs {
+				if s, ok := rollFront[id][acc.res]; ok && t <= s {
+					continue
+				}
+				acc.retire(bm.topoIndex)
+				b := acc.addPoint(bm.topoIndex, t, cols)
+				for c := 0; c < cols; c++ {
+					b.observe(c, uint8(db.cols[c][pi]))
+				}
+			}
+			if det == nil {
+				continue
+			}
+			m := &wmap.Map{
+				ID: id, Time: time.Unix(t, 0).UTC(),
+				Nodes: append([]wmap.Node(nil), topo.nodes...),
+				Links: append([]wmap.Link(nil), topo.links...),
+			}
+			for li := range m.Links {
+				m.Links[li].LoadAB = db.cols[2*li][pi]
+				m.Links[li].LoadBA = db.cols[2*li+1][pi]
+			}
+			for _, e := range det.Observe(m) {
+				if e.EmitTime.Unix() > evFr {
+					w.evPending[id] = append(w.evPending[id], e.Event)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // SetBlockPoints overrides the per-block snapshot capacity. It only affects
@@ -482,10 +590,7 @@ func (w *Writer) Append(m *wmap.Map) error {
 				m.ID, m.Time.UTC(), i, l.A, l.B)
 		}
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	ti, err := w.internTopology(m)
@@ -570,21 +675,34 @@ func (w *Writer) ensureHeader() error {
 	return w.writeAll([]byte(headerMagic))
 }
 
-// flushBlock encodes and writes one block:
+// writeFrame writes one data frame — u32le payloadLen, payload, u32le
+// CRC32(payload) — after the file magic if nothing precedes it, and
+// returns the header its index row embeds. Raw blocks, rollup blocks and
+// event frames all go through it; only their payloads differ.
+func (w *Writer) writeFrame(id wmap.MapID, payload []byte) (frameHeader, error) {
+	if len(payload) > math.MaxInt32 {
+		return frameHeader{}, fmt.Errorf("tsdb: frame payload of %d bytes exceeds the frame limit", len(payload))
+	}
+	if err := w.ensureHeader(); err != nil {
+		return frameHeader{}, err
+	}
+	h := frameHeader{mapRef: w.intern(string(id)), offset: w.off, payloadLen: len(payload)}
+	var prefix, sum [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	return h, w.writeAll(prefix[:], payload, sum[:])
+}
+
+// flushBlock encodes and writes one raw block, whose payload is:
 //
 //	uvarint mapRef, topoIndex, baseUnix, pointCount n, linkCount L
 //	uvarint timeColLen, 2L × uvarint colLen   (the column directory)
 //	time column: n-1 uvarint deltas (seconds, strictly positive)
 //	2L load columns: uvarint first value, n-1 zigzag varint deltas
-//
-// framed as u32le payloadLen + payload + u32le CRC32(payload).
 func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	n := len(ob.times)
 	if n == 0 {
 		return nil
-	}
-	if err := w.ensureHeader(); err != nil {
-		return err
 	}
 	L := len(ob.cols) / 2
 	// The time column and the load columns are encoded back to back into
@@ -617,28 +735,12 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	}
 	payload = append(payload, cols...)
 	w.payloadScratch = payload
-	if len(payload) > math.MaxInt32 {
-		return fmt.Errorf("tsdb: block payload of %d bytes exceeds the frame limit", len(payload))
-	}
-
-	meta := blockMeta{
-		mapRef:     w.strIDs[string(id)],
-		offset:     w.off,
-		payloadLen: len(payload),
-		topoIndex:  ob.topoIndex,
-		baseUnix:   ob.times[0],
-		lastUnix:   ob.times[n-1],
-		points:     n,
-		links:      L,
-	}
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if err := w.writeAll(frame[:], payload, sum[:]); err != nil {
+	h, err := w.writeFrame(id, payload)
+	if err != nil {
 		return err
 	}
-	w.index = append(w.index, meta)
+	w.index = append(w.index, blockMeta{frameHeader: h, topoIndex: ob.topoIndex,
+		baseUnix: ob.times[0], lastUnix: ob.times[n-1], points: n, links: L})
 	return nil
 }
 
@@ -686,14 +788,8 @@ func (w *Writer) encodeFooter() []byte {
 
 	buf = binary.AppendUvarint(buf, uint64(len(w.index)))
 	for _, m := range w.index {
-		buf = binary.AppendUvarint(buf, m.mapRef)
-		buf = binary.AppendUvarint(buf, uint64(m.offset))
-		buf = binary.AppendUvarint(buf, uint64(m.payloadLen))
-		buf = binary.AppendUvarint(buf, uint64(m.topoIndex))
-		buf = binary.AppendUvarint(buf, uint64(m.baseUnix))
-		buf = binary.AppendUvarint(buf, uint64(m.lastUnix))
-		buf = binary.AppendUvarint(buf, uint64(m.points))
-		buf = binary.AppendUvarint(buf, uint64(m.links))
+		buf = appendRow(buf, m.mapRef, uint64(m.offset), uint64(m.payloadLen), uint64(m.topoIndex),
+			uint64(m.baseUnix), uint64(m.lastUnix), uint64(m.points), uint64(m.links))
 	}
 
 	// Versioned suffix: the rollup index, then the event index. A v1 footer
@@ -703,27 +799,24 @@ func (w *Writer) encodeFooter() []byte {
 	buf = binary.AppendUvarint(buf, footerVersionEvents)
 	buf = binary.AppendUvarint(buf, uint64(len(w.rollups)))
 	for _, m := range w.rollups {
-		buf = binary.AppendUvarint(buf, m.mapRef)
-		buf = binary.AppendUvarint(buf, uint64(m.res))
-		buf = binary.AppendUvarint(buf, uint64(m.offset))
-		buf = binary.AppendUvarint(buf, uint64(m.payloadLen))
-		buf = binary.AppendUvarint(buf, uint64(m.topoIndex))
-		buf = binary.AppendUvarint(buf, uint64(m.firstBucket))
-		buf = binary.AppendUvarint(buf, uint64(m.lastBucket))
-		buf = binary.AppendUvarint(buf, uint64(m.lastPoint))
-		buf = binary.AppendUvarint(buf, uint64(m.buckets))
-		buf = binary.AppendUvarint(buf, uint64(m.links))
+		buf = appendRow(buf, m.mapRef, uint64(m.res), uint64(m.offset), uint64(m.payloadLen),
+			uint64(m.topoIndex), uint64(m.firstBucket), uint64(m.lastBucket), uint64(m.lastPoint),
+			uint64(m.buckets), uint64(m.links))
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(w.evIndex)))
 	for _, m := range w.evIndex {
-		buf = binary.AppendUvarint(buf, m.mapRef)
-		buf = binary.AppendUvarint(buf, uint64(m.offset))
-		buf = binary.AppendUvarint(buf, uint64(m.payloadLen))
-		buf = binary.AppendUvarint(buf, uint64(m.firstUnix))
-		buf = binary.AppendUvarint(buf, uint64(m.lastUnix))
-		buf = binary.AppendUvarint(buf, uint64(m.lastPoint))
-		buf = binary.AppendUvarint(buf, uint64(m.count))
+		buf = appendRow(buf, m.mapRef, uint64(m.offset), uint64(m.payloadLen), uint64(m.firstUnix),
+			uint64(m.lastUnix), uint64(m.lastPoint), uint64(m.count))
+	}
+	return buf
+}
+
+// appendRow appends one footer-index row: its fields as uvarints, in the
+// order parseRows hands them back.
+func appendRow(buf []byte, fields ...uint64) []byte {
+	for _, v := range fields {
+		buf = binary.AppendUvarint(buf, v)
 	}
 	return buf
 }
@@ -793,10 +886,7 @@ func (w *Writer) Sync() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	if err := w.flushOpen(); err != nil {
@@ -869,10 +959,7 @@ func (w *Writer) finish() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	if err := w.flushOpen(); err != nil {
